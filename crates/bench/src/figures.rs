@@ -7,8 +7,7 @@
 //! count, and `jobs = 1` is a fully serial run.
 
 use srlb_core::dispatch::DispatcherConfig;
-use srlb_core::experiment::ExperimentResult;
-use srlb_core::runner::Runner;
+use srlb_core::runner::{RunOutcome, Runner};
 use srlb_core::spec::{ExperimentSpec, FaultLink, FaultPlan, LossSpec, PolicyKind};
 use srlb_metrics::{jain_fairness, Ewma, RequestClass};
 use srlb_server::PolicyConfig;
@@ -90,17 +89,16 @@ fn poisson_result(
     rho: f64,
     policy: PolicyKind,
     record_load: bool,
-) -> ExperimentResult {
+) -> RunOutcome {
     let mut spec = ExperimentSpec::poisson_paper(rho, policy)
         .with_queries(scale.poisson_queries())
         .with_seed(seed);
     if record_load {
         spec = spec.with_load_recording();
     }
-    let outcome = Runner::new(spec)
+    Runner::new(spec)
         .expect("paper poisson spec is valid")
-        .run();
-    ExperimentResult::from_outcome(outcome, Some(rho))
+        .run()
 }
 
 /// One policy's mean-response-time curve for Figure 2.
@@ -155,11 +153,7 @@ pub struct CdfSeries {
     pub third_quartile_s: f64,
 }
 
-fn cdf_series_for(
-    result: &ExperimentResult,
-    class: Option<RequestClass>,
-    points: usize,
-) -> CdfSeries {
+fn cdf_series_for(result: &RunOutcome, class: Option<RequestClass>, points: usize) -> CdfSeries {
     let cdf = result.cdf_seconds(class);
     CdfSeries {
         label: result.label.clone(),
@@ -252,17 +246,16 @@ pub struct WikiBinSeries {
     pub deciles: Vec<(f64, [f64; 9])>,
 }
 
-fn wikipedia_result(scale: Scale, seed: u64, policy: PolicyKind) -> ExperimentResult {
+fn wikipedia_result(scale: Scale, seed: u64, policy: PolicyKind) -> RunOutcome {
     let spec = ExperimentSpec::wikipedia_paper(policy)
         .with_hours(scale.wiki_hours())
         .with_seed(seed);
-    let outcome = Runner::new(spec)
+    Runner::new(spec)
         .expect("paper wikipedia spec is valid")
-        .run();
-    ExperimentResult::from_outcome(outcome, None)
+        .run()
 }
 
-fn wiki_bins(result: &ExperimentResult, bin_seconds: f64) -> WikiBinSeries {
+fn wiki_bins(result: &RunOutcome, bin_seconds: f64) -> WikiBinSeries {
     let binned = result
         .collector
         .binned(bin_seconds, Some(RequestClass::WikiPage));

@@ -42,8 +42,8 @@ pub use micro::{engine_events_per_sec, write_bench_micro, BenchReport, BENCH_MIC
 pub use output::{write_csv, FIGURES_DIR};
 pub use parallel::{default_jobs, parallel_map};
 pub use scenarios::{
-    run_scenarios, write_bench_scenarios, EcmpReshuffleReport, ScenariosDoc, BENCH_SCENARIOS_FILE,
-    ECMP_RESHUFFLE_LB_COUNTS,
+    run_scenarios, write_bench_scenarios, EcmpReshuffleReport, ScenarioReport, ScenariosDoc,
+    BENCH_SCENARIOS_FILE, ECMP_RESHUFFLE_LB_COUNTS,
 };
 pub use spec_run::{
     example_specs, load_spec, run_spec_file, scale_spec, write_example_specs, write_spec_report,

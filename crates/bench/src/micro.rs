@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 use srlb_core::dispatch::{
     CandidateList, ConsistentHashDispatcher, Dispatcher, MaglevDispatcher, RandomDispatcher,
 };
-use srlb_core::flow_table::FlowTable;
 use srlb_core::spec::{ExperimentSpec, PolicyKind};
+use srlb_core::FlowState;
 use srlb_core::Runner;
 use srlb_net::{
     AddressPlan, FlowKey, Packet, PacketBuilder, Protocol, SegmentRoutingHeader, ServerId, TcpFlags,
@@ -156,7 +156,7 @@ pub fn run_all() -> BTreeMap<String, f64> {
         }),
     );
 
-    let mut table = FlowTable::with_default_timeout();
+    let mut table = FlowState::with_default_timeout();
     let mut i = 0;
     record(
         "flow_table_learn_and_lookup",
@@ -170,8 +170,7 @@ pub fn run_all() -> BTreeMap<String, f64> {
     // The explicitly-sharded flow state over the full 1024-key working set:
     // the per-packet learn+lookup cost of the bounded-table subsystem in
     // its unbounded configuration.
-    let mut sharded =
-        srlb_core::FlowState::with_config(srlb_core::FlowStateConfig::new().with_shards(8));
+    let mut sharded = FlowState::with_config(srlb_core::FlowStateConfig::new().with_shards(8));
     let mut i = 0;
     record(
         "flow_table_sharded_learn_and_lookup",
@@ -185,7 +184,7 @@ pub fn run_all() -> BTreeMap<String, f64> {
     // The eviction path: a table half the size of the cycling working set,
     // so (after warm-up) every learn is a miss that evicts the
     // least-recently-touched entry.
-    let mut bounded = srlb_core::FlowState::with_config(
+    let mut bounded = FlowState::with_config(
         srlb_core::FlowStateConfig::new()
             .with_shards(8)
             .with_capacity(512),

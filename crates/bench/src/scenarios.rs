@@ -10,7 +10,7 @@
 //!
 //! The **ECMP-reshuffle sweep** is appended to the same report: every
 //! dispatcher crossed with LB tier sizes {1, 2, 4}, withdrawing one tier
-//! instance mid-run ([`srlb_scenario::Scenario::ecmp_reshuffle`]).  It
+//! instance mid-run ([`ExperimentSpec::ecmp_reshuffle`]).  It
 //! demonstrates end-to-end that consistent-hash and Maglev candidates keep
 //! every established connection alive when flows are re-steered onto LB
 //! instances that have never seen them, while random candidates orphan
@@ -18,7 +18,8 @@
 //!
 //! Every `(preset, dispatcher)` cell is an independent seeded simulation
 //! run through [`parallel_map`](crate::parallel::parallel_map), so the
-//! output is byte-identical whatever the `--jobs` worker count.
+//! output is byte-identical whatever the `--jobs` worker count.  Each run's
+//! [`RunOutcome`] is condensed into a [`ScenarioReport`].
 
 use std::io::Write;
 use std::net::Ipv6Addr;
@@ -27,8 +28,11 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use srlb_core::dispatch::DispatcherConfig;
+use srlb_core::lb_node::LbStats;
+use srlb_core::runner::{RunOutcome, Runner};
+use srlb_core::spec::ExperimentSpec;
+use srlb_metrics::PhaseStats;
 use srlb_net::{AddressPlan, FlowKey, Protocol, ServerId};
-use srlb_scenario::{run, Scenario, ScenarioReport};
 
 use crate::figures::Scale;
 use crate::parallel::parallel_map;
@@ -62,6 +66,120 @@ fn dispatchers() -> Vec<(&'static str, DispatcherConfig)> {
         ),
         ("random", DispatcherConfig::Random { k: 2 }),
     ]
+}
+
+/// Serde skip predicate for [`ScenarioReport::per_lb`].
+fn per_lb_is_trivial(per_lb: &[LbStats]) -> bool {
+    per_lb.is_empty()
+}
+
+/// Serde skip predicate for the fault counters: fault-free reports carry
+/// none of them, so pre-fault-layer report bytes stay stable.
+fn is_zero_u64(n: &u64) -> bool {
+    *n == 0
+}
+
+/// Machine-readable summary of a scenario run (one entry of
+/// `BENCH_scenarios.json`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScenarioReport {
+    /// Scenario name.
+    pub name: String,
+    /// Dispatcher report name.
+    pub dispatcher: String,
+    /// Requests sent.
+    pub sent: u64,
+    /// Requests completed.
+    pub completed: u64,
+    /// Requests whose connection was reset.
+    pub resets: u64,
+    /// Requests that never finished.
+    pub unfinished: u64,
+    /// Connections reset because no candidate owned the flow after a
+    /// fail-over.
+    pub orphaned: u64,
+    /// Established connections broken by control events
+    /// (`orphaned + unfinished`).
+    pub broken_established: u64,
+    /// Flow-table misses recovered by re-hunting.
+    pub rehunts: u64,
+    /// Ownership adverts sent by servers.
+    pub ownership_adverts: u64,
+    /// Load-balancer fail-overs applied.
+    pub failovers: u64,
+    /// Flow-table entries learned in-band (SYN-ACKs + adverts).
+    pub flows_learned: u64,
+    /// Milliseconds from fail-over to the last re-hunt, if any.
+    pub reconstruction_ms: Option<f64>,
+    /// Simulated duration in seconds.
+    pub duration_seconds: f64,
+    /// Requests aborted after exhausting the retransmission budget
+    /// (fault-injection runs only; omitted when zero).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
+    pub aborted: u64,
+    /// Total client retransmissions (omitted when zero).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
+    pub retransmits: u64,
+    /// Messages dropped by injected faults (omitted when zero).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
+    pub dropped_injected: u64,
+    /// Messages tail-dropped by bounded queues (omitted when zero).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
+    pub dropped_queue: u64,
+    /// Messages dropped inside link down windows (omitted when zero).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
+    pub dropped_link_down: u64,
+    /// Per-phase disruption statistics.
+    pub phases: Vec<PhaseStats>,
+    /// Per-instance load-balancer counters (omitted for single-LB tiers).
+    #[serde(default, skip_serializing_if = "per_lb_is_trivial")]
+    pub per_lb: Vec<LbStats>,
+}
+
+impl ScenarioReport {
+    /// Condenses a scenario run's outcome into the serialisable report.
+    pub fn from_outcome(outcome: &RunOutcome) -> Self {
+        ScenarioReport {
+            name: outcome.name.clone(),
+            dispatcher: outcome.dispatcher_name.clone(),
+            sent: outcome.collector.len() as u64,
+            completed: outcome.collector.completed_count() as u64,
+            resets: outcome.collector.reset_count() as u64,
+            unfinished: outcome.unfinished(),
+            orphaned: outcome.orphaned(),
+            broken_established: outcome.broken_established(),
+            rehunts: outcome.lb_stats.rehunts,
+            ownership_adverts: outcome.ownership_adverts(),
+            failovers: outcome.lb_stats.failovers,
+            flows_learned: outcome.lb_stats.flows_learned,
+            reconstruction_ms: outcome.reconstruction_latency_s.map(|s| s * 1e3),
+            duration_seconds: outcome.duration_seconds,
+            aborted: outcome.aborted,
+            retransmits: outcome.retransmits,
+            dropped_injected: outcome.dropped_injected,
+            dropped_queue: outcome.dropped_queue,
+            dropped_link_down: outcome.dropped_link_down,
+            phases: outcome.phases.clone(),
+            // Populated only for multi-instance tiers (a single instance
+            // adds nothing over the aggregate counters), so the report's
+            // "empty" and the JSON's "omitted" coincide and value -> JSON
+            // -> value round trips are exact -- and pre-tier report bytes
+            // stay stable.
+            per_lb: if outcome.per_lb_stats.len() > 1 {
+                outcome.per_lb_stats.clone()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+}
+
+/// Runs one preset spec and condenses its outcome into a report.
+fn run_report(spec: &ExperimentSpec) -> ScenarioReport {
+    let outcome = Runner::new(spec.clone())
+        .expect("scenario presets are valid")
+        .run();
+    ScenarioReport::from_outcome(&outcome)
 }
 
 /// One dispatcher's owner-remapping behaviour under single-server churn,
@@ -223,15 +341,13 @@ pub const ECMP_RESHUFFLE_LB_COUNTS: [usize; 3] = [1, 2, 4];
 /// Runs the scenario sweep across `jobs` workers.
 pub fn run_scenarios(scale: Scale, seed: u64, jobs: usize) -> ScenariosDoc {
     let queries = scenario_queries(scale);
-    let mut grid: Vec<Scenario> = Vec::new();
+    let mut grid: Vec<ExperimentSpec> = Vec::new();
     for (_, dispatcher) in dispatchers() {
-        grid.push(Scenario::lb_failover(dispatcher, queries).with_seed(seed));
-        grid.push(Scenario::rolling_upgrade(dispatcher, queries).with_seed(seed));
-        grid.push(Scenario::scale_out_2x(dispatcher, queries).with_seed(seed));
+        grid.push(ExperimentSpec::lb_failover(dispatcher, queries).with_seed(seed));
+        grid.push(ExperimentSpec::rolling_upgrade(dispatcher, queries).with_seed(seed));
+        grid.push(ExperimentSpec::scale_out_2x(dispatcher, queries).with_seed(seed));
     }
-    let scenarios = parallel_map(&grid, jobs, |scenario| {
-        run(scenario).expect("preset scenarios are valid").report()
-    });
+    let scenarios = parallel_map(&grid, jobs, run_report);
     let remap = dispatchers()
         .into_iter()
         .filter(|(label, _)| *label != "random")
@@ -239,35 +355,33 @@ pub fn run_scenarios(scale: Scale, seed: u64, jobs: usize) -> ScenariosDoc {
         .collect();
 
     // The ECMP-reshuffle sweep: dispatcher × tier size.
-    let mut reshuffle_grid: Vec<(String, usize, Scenario)> = Vec::new();
+    let mut reshuffle_grid: Vec<(String, usize, ExperimentSpec)> = Vec::new();
     for (label, dispatcher) in dispatchers() {
         for lb_count in ECMP_RESHUFFLE_LB_COUNTS {
             reshuffle_grid.push((
                 label.to_string(),
                 lb_count,
-                Scenario::ecmp_reshuffle(dispatcher, lb_count, queries).with_seed(seed),
+                ExperimentSpec::ecmp_reshuffle(dispatcher, lb_count, queries).with_seed(seed),
             ));
         }
     }
-    let ecmp_reshuffle = parallel_map(&reshuffle_grid, jobs, |(label, lb_count, scenario)| {
+    let ecmp_reshuffle = parallel_map(&reshuffle_grid, jobs, |(label, lb_count, spec)| {
         EcmpReshuffleReport {
             dispatcher: label.clone(),
             lb_count: *lb_count,
-            report: run(scenario).expect("reshuffle preset is valid").report(),
+            report: run_report(spec),
         }
     });
 
     // The fault-injection sweep: lossy failover, incast into a hot server,
     // and a saturated client uplink, per dispatcher.
-    let mut fault_grid: Vec<Scenario> = Vec::new();
+    let mut fault_grid: Vec<ExperimentSpec> = Vec::new();
     for (_, dispatcher) in dispatchers() {
-        fault_grid.push(Scenario::lossy_lb_failover(dispatcher, queries).with_seed(seed));
-        fault_grid.push(Scenario::incast(dispatcher, queries).with_seed(seed));
-        fault_grid.push(Scenario::saturated_uplink(dispatcher, queries).with_seed(seed));
+        fault_grid.push(ExperimentSpec::lossy_lb_failover(dispatcher, queries).with_seed(seed));
+        fault_grid.push(ExperimentSpec::incast(dispatcher, queries).with_seed(seed));
+        fault_grid.push(ExperimentSpec::saturated_uplink(dispatcher, queries).with_seed(seed));
     }
-    let faults = parallel_map(&fault_grid, jobs, |scenario| {
-        run(scenario).expect("fault presets are valid").report()
-    });
+    let faults = parallel_map(&fault_grid, jobs, run_report);
 
     ScenariosDoc {
         schema: 1,

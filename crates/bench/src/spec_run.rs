@@ -72,12 +72,11 @@ pub fn example_specs() -> Vec<(&'static str, ExperimentSpec)> {
     // stay inside even the `--tiny` scaled-down slice.
     .at(60.0, ScenarioEvent::LbFailover);
     failover_wiki.cluster.recover_flows = true;
-    let multi_lb = srlb_scenario::Scenario::ecmp_reshuffle(
+    let multi_lb = ExperimentSpec::ecmp_reshuffle(
         DispatcherConfig::ConsistentHash { vnodes: 128, k: 2 },
         4,
         800,
     )
-    .to_spec()
     .with_seed(42)
     .with_name("multi_lb_ecmp");
     let lossy_poisson = ExperimentSpec::poisson_paper(0.89, PolicyKind::Dynamic)
@@ -91,12 +90,9 @@ pub fn example_specs() -> Vec<(&'static str, ExperimentSpec)> {
             recovery: Some(srlb_net::RetransmitPolicy::default()),
             ..srlb_core::spec::FaultPlan::default()
         });
-    let incast = srlb_scenario::Scenario::incast(
-        DispatcherConfig::ConsistentHash { vnodes: 128, k: 2 },
-        800,
-    )
-    .to_spec()
-    .with_seed(42);
+    let incast =
+        ExperimentSpec::incast(DispatcherConfig::ConsistentHash { vnodes: 128, k: 2 }, 800)
+            .with_seed(42);
     let bounded_flow_table = ExperimentSpec::poisson_paper(
         0.89,
         PolicyKind::LoadAware {

@@ -6,8 +6,10 @@
 //! are re-steered onto peers that have never seen them — while random
 //! candidate selection orphans them.
 
+use srlb_bench::ScenarioReport;
 use srlb_core::dispatch::DispatcherConfig;
-use srlb_scenario::{run, Scenario};
+use srlb_core::runner::{RunOutcome, Runner};
+use srlb_core::spec::ExperimentSpec;
 
 const CH: DispatcherConfig = DispatcherConfig::ConsistentHash { vnodes: 64, k: 2 };
 const MAGLEV: DispatcherConfig = DispatcherConfig::Maglev {
@@ -15,10 +17,14 @@ const MAGLEV: DispatcherConfig = DispatcherConfig::Maglev {
     k: 2,
 };
 
+fn run(spec: ExperimentSpec) -> RunOutcome {
+    Runner::new(spec).expect("preset spec is valid").run()
+}
+
 #[test]
 fn reshuffle_with_consistent_hash_loses_no_established_connection() {
     for lb_count in [2usize, 4] {
-        let outcome = run(&Scenario::ecmp_reshuffle(CH, lb_count, 400).with_seed(7)).unwrap();
+        let outcome = run(ExperimentSpec::ecmp_reshuffle(CH, lb_count, 400).with_seed(7));
         assert_eq!(outcome.per_lb_stats.len(), lb_count);
         assert!(
             outcome.lb_stats.rehunts > 0,
@@ -44,7 +50,7 @@ fn reshuffle_with_consistent_hash_loses_no_established_connection() {
 
 #[test]
 fn reshuffle_with_maglev_loses_no_established_connection() {
-    let outcome = run(&Scenario::ecmp_reshuffle(MAGLEV, 2, 400).with_seed(7)).unwrap();
+    let outcome = run(ExperimentSpec::ecmp_reshuffle(MAGLEV, 2, 400).with_seed(7));
     assert!(outcome.lb_stats.rehunts > 0);
     assert_eq!(outcome.broken_established(), 0);
 }
@@ -52,8 +58,7 @@ fn reshuffle_with_maglev_loses_no_established_connection() {
 #[test]
 fn reshuffle_with_random_candidates_orphans_flows() {
     let outcome =
-        run(&Scenario::ecmp_reshuffle(DispatcherConfig::Random { k: 2 }, 4, 400).with_seed(7))
-            .unwrap();
+        run(ExperimentSpec::ecmp_reshuffle(DispatcherConfig::Random { k: 2 }, 4, 400).with_seed(7));
     assert!(outcome.lb_stats.rehunts > 0);
     assert!(
         outcome.broken_established() > 0,
@@ -63,9 +68,9 @@ fn reshuffle_with_random_candidates_orphans_flows() {
 
 #[test]
 fn reshuffle_degenerates_to_a_static_run_for_one_lb() {
-    let scenario = Scenario::ecmp_reshuffle(CH, 1, 300).with_seed(7);
-    assert!(scenario.events.is_empty(), "no peer to withdraw to");
-    let outcome = run(&scenario).unwrap();
+    let spec = ExperimentSpec::ecmp_reshuffle(CH, 1, 300).with_seed(7);
+    assert!(spec.scenario.is_empty(), "no peer to withdraw to");
+    let outcome = run(spec);
     assert_eq!(outcome.broken_established(), 0);
     assert_eq!(outcome.lb_stats.rehunts, 0);
     assert_eq!(outcome.per_lb_stats.len(), 1);
@@ -74,23 +79,26 @@ fn reshuffle_degenerates_to_a_static_run_for_one_lb() {
 
 #[test]
 fn reshuffle_report_carries_per_instance_counters() {
-    let outcome = run(&Scenario::ecmp_reshuffle(CH, 2, 300).with_seed(7)).unwrap();
-    let report = outcome.report();
+    let outcome = run(ExperimentSpec::ecmp_reshuffle(CH, 2, 300).with_seed(7));
+    let report = ScenarioReport::from_outcome(&outcome);
     assert_eq!(report.per_lb.len(), 2);
     // The serialised report includes per-instance counters for multi-LB
     // tiers and omits them for the degenerate single-LB case (keeping the
     // pre-tier BENCH_scenarios.json entries byte-stable).
     let json = serde_json::to_string(&report).unwrap();
     assert!(json.contains("\"per_lb\""));
-    let single = run(&Scenario::ecmp_reshuffle(CH, 1, 300).with_seed(7)).unwrap();
-    let json = serde_json::to_string(&single.report()).unwrap();
+    let single = run(ExperimentSpec::ecmp_reshuffle(CH, 1, 300).with_seed(7));
+    let json = serde_json::to_string(&ScenarioReport::from_outcome(&single)).unwrap();
     assert!(!json.contains("\"per_lb\""));
 }
 
 #[test]
 fn reshuffle_is_deterministic() {
-    let a = run(&Scenario::ecmp_reshuffle(MAGLEV, 4, 300).with_seed(9)).unwrap();
-    let b = run(&Scenario::ecmp_reshuffle(MAGLEV, 4, 300).with_seed(9)).unwrap();
-    assert_eq!(a.report(), b.report());
+    let a = run(ExperimentSpec::ecmp_reshuffle(MAGLEV, 4, 300).with_seed(9));
+    let b = run(ExperimentSpec::ecmp_reshuffle(MAGLEV, 4, 300).with_seed(9));
+    assert_eq!(
+        ScenarioReport::from_outcome(&a),
+        ScenarioReport::from_outcome(&b)
+    );
     assert_eq!(a.collector.records(), b.collector.records());
 }

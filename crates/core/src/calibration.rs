@@ -7,7 +7,8 @@
 //! provides both the analytic capacity of the simulated cluster and an
 //! empirical bisection search equivalent to the paper's bootstrap.
 
-use crate::experiment::{ExperimentConfig, PolicyKind, WorkloadKind};
+use crate::runner::Runner;
+use crate::spec::{ExperimentSpec, PolicyKind, WorkloadSpec};
 use crate::CoreError;
 
 /// Analytic CPU capacity of the cluster in queries per second:
@@ -91,8 +92,7 @@ pub struct CalibrationResult {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidConfig`] if the underlying experiment
-/// configuration is invalid.
+/// Returns [`CoreError::InvalidConfig`] if the probe spec is invalid.
 pub fn calibrate_lambda0(config: &CalibrationConfig) -> Result<CalibrationResult, CoreError> {
     let upper = analytic_lambda0(config.servers, config.cores, config.mean_service_ms);
     let mut lo = 0.0f64;
@@ -101,23 +101,24 @@ pub fn calibrate_lambda0(config: &CalibrationConfig) -> Result<CalibrationResult
 
     for i in 0..config.iterations {
         let rate = (lo + hi) / 2.0;
-        let experiment = ExperimentConfig {
-            workload: WorkloadKind::Poisson {
-                rho: 1.0,
-                lambda0: Some(rate),
-                queries: config.probe_queries,
-                mean_service_ms: config.mean_service_ms,
-            },
-            policy: PolicyKind::RoundRobin,
-            servers: config.servers,
-            workers: config.workers,
-            cores: config.cores,
-            backlog: config.backlog,
-            record_load: false,
-            seed: config.seed.wrapping_add(i as u64),
+        let mut spec = ExperimentSpec::poisson_paper(1.0, PolicyKind::RoundRobin)
+            .with_servers(config.servers)
+            .with_seed(config.seed.wrapping_add(i as u64));
+        spec.workload = WorkloadSpec::Poisson {
+            rho: 1.0,
+            lambda0: Some(rate),
+            queries: config.probe_queries,
+            mean_service_ms: config.mean_service_ms,
         };
-        let result = experiment.run()?;
-        let reset_fraction = result.reset_fraction();
+        spec.cluster.workers = config.workers;
+        spec.cluster.cores = config.cores;
+        spec.cluster.backlog = config.backlog;
+        let collector = Runner::new(spec)?.run().collector;
+        let reset_fraction = if collector.is_empty() {
+            0.0
+        } else {
+            collector.reset_count() as f64 / collector.len() as f64
+        };
         probes.push((rate, reset_fraction));
         if reset_fraction > config.reset_tolerance {
             hi = rate;

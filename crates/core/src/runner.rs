@@ -20,8 +20,10 @@
 //! balancer of the paper's testbed and runs are byte-identical to the
 //! pre-tier runner.
 //!
-//! Both the figure harness (`srlb-bench`) and the scenario crate
-//! (`srlb-scenario`) are thin clients of this runner.
+//! Every experiment goes through this runner: the figure harness, the
+//! scenario sweep and the spec files of `srlb-bench`, the examples and the
+//! integration tests all build an [`ExperimentSpec`] and read the one
+//! [`RunOutcome`].
 //!
 //! # Execution modes
 //!
@@ -35,18 +37,21 @@
 //! CLI's `--sim-threads` flag) and can be overridden per runner with
 //! [`Runner::with_exec`].
 //!
-//! Shard *placement* defaults to [`ShardPlanning::TopologyAware`]: under a
-//! rack/zone topology each rack's servers and its attached LB instances are
-//! kept on one shard, so the only cross-shard links are cross-rack (or
-//! client) links — maximising the conservative lookahead window and
-//! minimising cross-shard event volume.  Placement is a pure throughput
-//! knob: any plan produces byte-identical outcomes (pinned by proptest), so
-//! [`ShardPlanning::RoundRobin`] exists only as the comparison baseline.
-//! The chosen plan is recorded in [`RunOutcome::shard_plan`].
+//! Shards are placed by [`ShardPlan::topology_aware`]: under a rack/zone
+//! topology each rack's servers and its attached LB instances are kept on
+//! one shard, so the only cross-shard links are cross-rack (or client)
+//! links — maximising the conservative lookahead window and minimising
+//! cross-shard event volume.  On uniform topologies, where placement cannot
+//! change the lookahead, it falls back to round-robin striping.  Placement
+//! is a pure throughput knob: every plan produces byte-identical outcomes
+//! (pinned by proptest).  The chosen plan is recorded in
+//! [`RunOutcome::shard_plan`].
 
 use std::net::Ipv6Addr;
 
-use srlb_metrics::{DisruptionCollector, PhaseStats, ResponseTimeCollector};
+use srlb_metrics::{
+    Cdf, DisruptionCollector, PhaseStats, RequestClass, RequestOutcome, ResponseTimeCollector,
+};
 use srlb_net::{AddressPlan, Packet, ServerId};
 use srlb_server::{tier_members, Directory, ServerConfig, ServerNode, ServerStats};
 use srlb_sim::{
@@ -59,11 +64,9 @@ use crate::lb_node::{LbStats, LoadBalancerNode};
 use crate::spec::{ExperimentSpec, ScenarioEvent};
 use crate::CoreError;
 
-/// Everything measured during one experiment run.
-///
-/// This is the superset both legacy result types project from:
-/// `ExperimentResult` (paper figures) and the scenario crate's
-/// `ScenarioOutcome`.
+/// Everything measured during one experiment run: the one result type
+/// every experiment reports through, from a paper figure point to a
+/// dynamic-cluster scenario.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The spec's name.
@@ -119,23 +122,51 @@ pub struct RunOutcome {
     pub shard_plan: Option<String>,
 }
 
-/// How the runner assigns nodes to shards under [`ExecMode::Sharded`].
-///
-/// Placement is a pure throughput knob — every plan produces byte-identical
-/// outcomes — but it bounds the conservative lookahead: the window length is
-/// the minimum cross-shard link latency, so a plan that splits a rack
-/// across shards is stuck synchronising at the intra-rack latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPlanning {
-    /// Group each rack's servers with their attached LB instances
-    /// ([`ShardPlan::topology_aware`]); degenerates to round-robin on
-    /// uniform topologies, where placement cannot change the lookahead.
-    #[default]
-    TopologyAware,
-    /// Stripe LBs and servers modulo the thread count
-    /// ([`ShardPlan::round_robin`]) — the pre-placement baseline, kept as
-    /// the comparison arm for the plan-equivalence tests.
-    RoundRobin,
+impl RunOutcome {
+    /// Mean completed response time in seconds (how Figure 2 reports it).
+    pub fn mean_response_seconds(&self) -> f64 {
+        self.collector.summary(None).mean() / 1e3
+    }
+
+    /// CDF of completed response times in seconds, optionally filtered by
+    /// request class (Figures 3, 5 and 8).
+    pub fn cdf_seconds(&self, class: Option<RequestClass>) -> Cdf {
+        Cdf::from_samples(
+            self.collector
+                .response_times_ms(class)
+                .into_iter()
+                .map(|ms| ms / 1e3),
+        )
+    }
+
+    /// Connections reset by a failed in-band reconstruction (no candidate
+    /// owned the flow).
+    pub fn orphaned(&self) -> u64 {
+        self.server_stats.iter().map(|s| s.orphaned).sum()
+    }
+
+    /// Ownership adverts sent by servers during reconstruction.
+    pub fn ownership_adverts(&self) -> u64 {
+        self.server_stats.iter().map(|s| s.ownership_adverts).sum()
+    }
+
+    /// Requests that never finished (e.g. their connection was established
+    /// on a backend that was removed, or a packet was black-holed).
+    pub fn unfinished(&self) -> u64 {
+        self.collector
+            .records()
+            .iter()
+            .filter(|r| r.outcome == RequestOutcome::Unfinished)
+            .count() as u64
+    }
+
+    /// Established connections broken by the scenario's control events:
+    /// reconstruction orphans plus never-finished requests.  Load-induced
+    /// backlog resets are *not* counted here (they also occur in a static
+    /// cluster).
+    pub fn broken_established(&self) -> u64 {
+        self.orphaned() + self.unfinished()
+    }
 }
 
 /// Executes [`ExperimentSpec`]s.
@@ -143,7 +174,6 @@ pub enum ShardPlanning {
 pub struct Runner {
     spec: ExperimentSpec,
     exec: ExecMode,
-    planning: ShardPlanning,
     pool: PoolPolicy,
 }
 
@@ -163,7 +193,6 @@ impl Runner {
         Ok(Runner {
             spec,
             exec: ExecMode::from_env(),
-            planning: ShardPlanning::default(),
             pool: PoolPolicy::default(),
         })
     }
@@ -173,14 +202,6 @@ impl Runner {
     #[must_use]
     pub fn with_exec(mut self, exec: ExecMode) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Overrides the shard placement strategy (throughput knob only; see
-    /// [`ShardPlanning`]).
-    #[must_use]
-    pub fn with_shard_planning(mut self, planning: ShardPlanning) -> Self {
-        self.planning = planning;
         self
     }
 
@@ -202,20 +223,16 @@ impl Runner {
         &self.spec
     }
 
-    /// The shard layout for this spec, per the configured
-    /// [`ShardPlanning`].  Every LB instance lives whole on one shard
-    /// either way (keeping its flow table and its ECMP-steered flows
-    /// together); the strategies differ in how racks map onto shards.
+    /// The shard layout for this spec ([`ShardPlan::topology_aware`]).
+    /// Every LB instance lives whole on one shard, keeping its flow table
+    /// and its ECMP-steered flows together.
     fn shard_plan(&self) -> ShardPlan {
-        let lb_count = self.spec.cluster.lb_count;
-        let max_servers = self.spec.cluster.max_servers;
-        let threads = self.exec.threads();
-        match self.planning {
-            ShardPlanning::TopologyAware => {
-                ShardPlan::topology_aware(&self.spec.topology, lb_count, max_servers, threads)
-            }
-            ShardPlanning::RoundRobin => ShardPlan::round_robin(lb_count, max_servers, threads),
-        }
+        ShardPlan::topology_aware(
+            &self.spec.topology,
+            self.spec.cluster.lb_count,
+            self.spec.cluster.max_servers,
+            self.exec.threads(),
+        )
     }
 
     /// Advances the network under `policy` using the configured execution
@@ -283,11 +300,7 @@ impl Runner {
         // run reports, which are byte-diffed across `--sim-threads` values.
         let shard_plan_summary = (network.shards() > 1).then(|| {
             format!(
-                "{}: {} shards {:?}, lookahead {} µs",
-                match self.planning {
-                    ShardPlanning::TopologyAware => "topology-aware",
-                    ShardPlanning::RoundRobin => "round-robin",
-                },
+                "topology-aware: {} shards {:?}, lookahead {} µs",
                 network.shards(),
                 network.plan().shard_sizes(),
                 network.lookahead().as_nanos() / 1_000,
@@ -563,6 +576,10 @@ mod tests {
         assert_eq!(outcome.phases.len(), 1, "static run is a single phase");
         assert!(outcome.duration_seconds > 0.0);
         assert!(outcome.events_processed > 400);
+        assert!(outcome.mean_response_seconds() > 0.0);
+        assert!(outcome.collector.reset_count() < 200);
+        let cdf = outcome.cdf_seconds(None);
+        assert_eq!(cdf.count(), outcome.collector.completed_count());
     }
 
     #[test]
@@ -717,28 +734,25 @@ mod tests {
     #[test]
     fn shard_planning_strategies_produce_identical_outcomes() {
         // Placement is a throughput knob only: on a rack/zone topology the
-        // topology-aware and round-robin plans differ (different shard
-        // count and lookahead at 3 threads) yet must agree byte for byte.
+        // topology-aware plan splits the cluster across shards at 3
+        // threads, yet must agree byte for byte with the single-shard
+        // batched loop.
         let mut spec = quick_spec(0.6, PolicyKind::Dynamic).with_seed(23);
         spec.topology = TopologyModel::rack_zone_default();
-        let run = |planning: ShardPlanning| {
+        let run = |exec: ExecMode| {
             Runner::new(spec.clone())
                 .unwrap()
-                .with_exec(ExecMode::Sharded { threads: 3 })
+                .with_exec(exec)
                 .with_pool_policy(PoolPolicy::Force)
-                .with_shard_planning(planning)
                 .run()
         };
-        let aware = run(ShardPlanning::TopologyAware);
-        let rr = run(ShardPlanning::RoundRobin);
-        assert_ne!(
-            aware.shard_plan, rr.shard_plan,
-            "the two strategies must actually produce different plans here"
-        );
-        assert_eq!(aware.collector.records(), rr.collector.records());
-        assert_eq!(aware.events_processed, rr.events_processed);
-        assert_eq!(aware.per_lb_stats, rr.per_lb_stats);
-        assert_eq!(aware.server_stats, rr.server_stats);
+        let aware = run(ExecMode::Sharded { threads: 3 });
+        let reference = run(ExecMode::Batched);
+        assert_eq!(reference.shard_plan, None, "the batched loop is one shard");
+        assert_eq!(aware.collector.records(), reference.collector.records());
+        assert_eq!(aware.events_processed, reference.events_processed);
+        assert_eq!(aware.per_lb_stats, reference.per_lb_stats);
+        assert_eq!(aware.server_stats, reference.server_stats);
         assert!(
             aware
                 .shard_plan
@@ -980,5 +994,159 @@ mod tests {
         spec.workload = WorkloadSpec::Trace { requests };
         let outcome = Runner::new(spec).unwrap().run();
         assert_eq!(outcome.collector.len(), 100);
+        assert_eq!(outcome.label, "RR");
+    }
+
+    /// A small trace-replay cluster: 4 servers × 4 workers, backlog 16, `k`
+    /// random candidates over `acceptance`, load recording on.
+    fn small_trace_spec(
+        requests: Vec<srlb_workload::Request>,
+        acceptance: srlb_server::PolicyConfig,
+        k: usize,
+    ) -> ExperimentSpec {
+        let policy = PolicyKind::Explicit {
+            dispatcher: crate::dispatch::DispatcherConfig::Random { k },
+            acceptance,
+        };
+        let mut spec = quick_spec(0.5, policy)
+            .with_servers(4)
+            .with_seed(42)
+            .with_load_recording();
+        spec.workload = WorkloadSpec::Trace { requests };
+        spec.cluster.workers = 4;
+        spec.cluster.backlog = 16;
+        spec
+    }
+
+    fn poisson_trace(
+        rate_qps: f64,
+        queries: usize,
+        service: srlb_workload::ServiceTime,
+        seed: u64,
+    ) -> Vec<srlb_workload::Request> {
+        srlb_workload::PoissonWorkload::new(rate_qps, queries, service).generate(seed)
+    }
+
+    #[test]
+    fn trace_replay_completes_every_request_under_light_load() {
+        let requests = poisson_trace(
+            50.0,
+            300,
+            srlb_workload::ServiceTime::Exponential { mean_ms: 20.0 },
+            3,
+        );
+        let spec = small_trace_spec(
+            requests,
+            srlb_server::PolicyConfig::Static { threshold: 2 },
+            2,
+        );
+        let outcome = Runner::new(spec).unwrap().run();
+        assert_eq!(outcome.collector.len(), 300);
+        assert_eq!(outcome.collector.completed_count(), 300);
+        assert_eq!(outcome.collector.reset_count(), 0);
+        let served: u64 = outcome.server_stats.iter().map(|s| s.completed).sum();
+        assert_eq!(served, 300);
+        assert_eq!(outcome.lb_stats.new_flows, 300);
+        assert_eq!(outcome.lb_stats.flows_learned, 300);
+        assert!(outcome.duration_seconds > 0.0);
+        assert!(outcome.events_processed > 300);
+        // Load was recorded on every server that served something.
+        assert!(outcome.load_series.iter().any(|s| !s.is_empty()));
+    }
+
+    #[test]
+    fn trace_replay_response_times_include_service_and_network() {
+        let requests = poisson_trace(
+            10.0,
+            50,
+            srlb_workload::ServiceTime::Constant { ms: 30.0 },
+            1,
+        );
+        let spec = small_trace_spec(
+            requests,
+            srlb_server::PolicyConfig::Static { threshold: 2 },
+            2,
+        );
+        let summary = Runner::new(spec).unwrap().run().collector.summary(None);
+        // Every response takes at least the 30 ms service time plus a few
+        // network hops, and under this trivial load not much more.
+        assert!(summary.min().unwrap() >= 30.0);
+        assert!(summary.max().unwrap() < 100.0);
+    }
+
+    #[test]
+    fn trace_replay_overload_produces_resets() {
+        // 2 servers x 2 workers with tiny backlogs and a service time far
+        // beyond what the offered load allows: most requests must be reset.
+        let requests = poisson_trace(
+            200.0,
+            400,
+            srlb_workload::ServiceTime::Constant { ms: 500.0 },
+            2,
+        );
+        let mut spec = small_trace_spec(
+            requests,
+            srlb_server::PolicyConfig::Static { threshold: 2 },
+            2,
+        )
+        .with_servers(2)
+        .with_seed(7);
+        spec.cluster.workers = 2;
+        spec.cluster.cores = 1;
+        spec.cluster.backlog = 2;
+        let outcome = Runner::new(spec).unwrap().run();
+        assert!(
+            outcome.collector.reset_count() > 0,
+            "backlog overflow must reset"
+        );
+        assert_eq!(
+            outcome.collector.len(),
+            400,
+            "every request is accounted for"
+        );
+        let resets: u64 = outcome.server_stats.iter().map(|s| s.resets).sum();
+        assert_eq!(resets as usize, outcome.collector.reset_count());
+    }
+
+    #[test]
+    fn single_candidate_never_consults_the_policy() {
+        let requests = poisson_trace(
+            50.0,
+            200,
+            srlb_workload::ServiceTime::Exponential { mean_ms: 10.0 },
+            9,
+        );
+        let spec = small_trace_spec(requests, srlb_server::PolicyConfig::NeverAccept, 1);
+        let outcome = Runner::new(spec).unwrap().run();
+        assert_eq!(outcome.collector.completed_count(), 200);
+        let forced: u64 = outcome.server_stats.iter().map(|s| s.forced_accepts).sum();
+        let by_policy: u64 = outcome
+            .server_stats
+            .iter()
+            .map(|s| s.accepted_by_policy)
+            .sum();
+        assert_eq!(forced, 200);
+        assert_eq!(by_policy, 0);
+        assert!(outcome.acceptance_ratios.iter().all(|&r| r == 0.0));
+    }
+
+    #[test]
+    fn hunting_spreads_connections_across_both_candidates() {
+        let requests = poisson_trace(
+            400.0,
+            600,
+            srlb_workload::ServiceTime::Exponential { mean_ms: 40.0 },
+            11,
+        );
+        let spec = small_trace_spec(
+            requests,
+            srlb_server::PolicyConfig::Static { threshold: 1 },
+            2,
+        );
+        let outcome = Runner::new(spec).unwrap().run();
+        let passed: u64 = outcome.server_stats.iter().map(|s| s.passed_on).sum();
+        let forced: u64 = outcome.server_stats.iter().map(|s| s.forced_accepts).sum();
+        assert!(passed > 0, "a threshold of 1 under load must pass some on");
+        assert_eq!(passed, forced, "every pass-on lands on the final candidate");
     }
 }

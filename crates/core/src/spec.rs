@@ -9,10 +9,11 @@
 //! bit-for-bit with [`Runner`](crate::runner::Runner) (see
 //! `examples/specs/` at the workspace root).
 //!
-//! This module subsumes what used to be three disjoint schemas:
-//! `ExperimentConfig` (paper figures), `TestbedConfig` (cluster wiring) and
-//! the scenario crate's schedule.  Those types survive as thin
-//! compatibility shims over this one.
+//! The paper's experiments are constructors here
+//! ([`ExperimentSpec::poisson_paper`], [`ExperimentSpec::wikipedia_paper`]),
+//! and so are the dynamic-cluster scenario presets
+//! ([`ExperimentSpec::lb_failover`] and its siblings), which all start from
+//! one base cluster ([`ExperimentSpec::dynamic_cluster`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -223,16 +224,14 @@ pub struct CapacityOverride {
 // ---------------------------------------------------------------------------
 
 /// Serde default for [`ClusterSpec::lb_count`]: the paper's single load
-/// balancer.  Public so every schema carrying an `lb_count` field (e.g.
-/// the scenario crate's cluster spec) shares one definition of the
-/// "omitted means 1" contract.
-pub fn default_lb_count() -> usize {
+/// balancer.
+fn default_lb_count() -> usize {
     1
 }
 
 /// Serde skip predicate for [`ClusterSpec::lb_count`]: the degenerate
 /// single-LB tier is not serialised, keeping committed specs byte-stable.
-pub fn lb_count_is_one(n: &usize) -> bool {
+fn lb_count_is_one(n: &usize) -> bool {
     *n == 1
 }
 
@@ -255,8 +254,8 @@ fn shards_is_default(n: &usize) -> bool {
 /// Serde skip predicate for [`ClusterSpec::flow_table`]: the unbounded
 /// default table is not serialised, so committed specs written before the
 /// flow-state subsystem existed parse and re-serialise byte-identically
-/// (the [`lb_count_is_one`] precedent).
-pub fn flow_table_is_default(ft: &FlowTableSpec) -> bool {
+/// (as with `lb_count`).
+fn flow_table_is_default(ft: &FlowTableSpec) -> bool {
     *ft == FlowTableSpec::default()
 }
 
@@ -785,10 +784,9 @@ pub struct FaultPlan {
     pub recovery: Option<srlb_net::RetransmitPolicy>,
 }
 
-/// Serde skip predicate for [`ExperimentSpec::faults`]; public so other
-/// schemas embedding a `FaultPlan` (e.g. the scenario crate) share the
-/// "omitted means no faults" contract.
-pub fn fault_plan_is_empty(plan: &FaultPlan) -> bool {
+/// Serde skip predicate for [`ExperimentSpec::faults`]: an empty plan is
+/// omitted, so fault-free specs keep their pre-fault-layer bytes.
+fn fault_plan_is_empty(plan: &FaultPlan) -> bool {
     plan.is_empty()
 }
 
@@ -945,6 +943,16 @@ impl FaultPlan {
 // The spec itself
 // ---------------------------------------------------------------------------
 
+/// Arrival rate of the dynamic-cluster scenario presets, in queries per
+/// second (ρ = 0.6 against the base cluster's analytic 160 queries/s).
+const SCENARIO_RATE_QPS: f64 = 96.0;
+
+/// Approximate time at which a scenario preset sends its last request, in
+/// seconds; the presets place their control events relative to it.
+fn send_window_seconds(queries: usize) -> f64 {
+    queries as f64 / SCENARIO_RATE_QPS
+}
+
 /// A complete, declarative experiment:
 /// `workload × cluster × topology × scenario × policy`.
 ///
@@ -1022,6 +1030,176 @@ impl ExperimentSpec {
             request_delay_ms: 0.0,
             faults: FaultPlan::default(),
         }
+    }
+
+    /// The base cluster every dynamic-cluster scenario preset starts from:
+    /// 8 servers × 16 workers × 2 cores with backlog 64, the SR4 acceptance
+    /// policy behind `dispatcher`, uniform 50 µs links, in-band flow
+    /// recovery on, and `queries` Poisson arrivals at 96 queries/s with
+    /// exp(100 ms) service and a 200 ms client think time (so connections
+    /// sit established but quiescent — the state control events disrupt).
+    /// The schedule is empty.
+    pub fn dynamic_cluster(
+        name: impl Into<String>,
+        dispatcher: DispatcherConfig,
+        queries: usize,
+    ) -> Self {
+        ExperimentSpec {
+            name: name.into(),
+            seed: 1,
+            workload: WorkloadSpec::PoissonRate {
+                rate_qps: SCENARIO_RATE_QPS,
+                queries,
+                mean_service_ms: 100.0,
+            },
+            cluster: ClusterSpec {
+                initial_servers: 8,
+                max_servers: 8,
+                workers: 16,
+                cores: 2,
+                backlog: 64,
+                recover_flows: true,
+                ..ClusterSpec::paper()
+            },
+            topology: TopologyModel::Uniform { latency_us: 50 },
+            scenario: Vec::new(),
+            policy: PolicyKind::Explicit {
+                dispatcher,
+                acceptance: PolicyConfig::Static { threshold: 4 },
+            },
+            request_delay_ms: 200.0,
+            faults: FaultPlan::default(),
+        }
+    }
+
+    /// Load-balancer failover at the midpoint of the send window, with
+    /// in-band flow-table reconstruction enabled: established connections
+    /// must survive with a deterministic (consistent-hash / Maglev)
+    /// dispatcher.
+    pub fn lb_failover(dispatcher: DispatcherConfig, queries: usize) -> Self {
+        let mid = send_window_seconds(queries) * 0.5;
+        Self::dynamic_cluster("lb_failover", dispatcher, queries).at(mid, ScenarioEvent::LbFailover)
+    }
+
+    /// A rolling upgrade of one backend: server 0 is removed under load and
+    /// a fresh instance re-joins later.  Connections established on it while
+    /// it was up are disrupted; the dispatcher's remapping bounds limit the
+    /// impact on everything else.
+    pub fn rolling_upgrade(dispatcher: DispatcherConfig, queries: usize) -> Self {
+        let window = send_window_seconds(queries);
+        Self::dynamic_cluster("rolling_upgrade", dispatcher, queries)
+            .at(window * 0.35, ScenarioEvent::RemoveServer { server: 0 })
+            .at(window * 0.70, ScenarioEvent::AddServer { server: 0 })
+    }
+
+    /// Doubles the cluster under load: 4 initial backends, 4 more joining at
+    /// the midpoint of the send window.
+    pub fn scale_out_2x(dispatcher: DispatcherConfig, queries: usize) -> Self {
+        let mut spec = Self::dynamic_cluster("scale_out_2x", dispatcher, queries);
+        spec.cluster.initial_servers = 4;
+        let mid = send_window_seconds(queries) * 0.5;
+        for server in 4..8 {
+            spec = spec.at(mid, ScenarioEvent::AddServer { server });
+        }
+        spec
+    }
+
+    /// ECMP reshuffle across a multi-LB tier: `lb_count` load-balancer
+    /// instances share the anycast VIP behind deterministic resilient ECMP
+    /// steering, and at the midpoint of the send window the last instance
+    /// is *withdrawn* from the tier (crash or drain — route withdrawal
+    /// either way).  Every live flow it carried is re-steered onto peers
+    /// that have never seen it, so its next packet hits a flow table with
+    /// no entry: with in-band recovery (on here) a deterministic dispatcher
+    /// re-hunts the owner back and no established connection is lost,
+    /// while random candidates orphan the re-steered flows.
+    ///
+    /// With `lb_count = 1` there is no peer to withdraw to, so the
+    /// schedule is empty: the degenerate control run showing the tier
+    /// preserves single-LB behaviour.
+    pub fn ecmp_reshuffle(dispatcher: DispatcherConfig, lb_count: usize, queries: usize) -> Self {
+        let spec =
+            Self::dynamic_cluster("ecmp_reshuffle", dispatcher, queries).with_lb_count(lb_count);
+        if lb_count > 1 {
+            let mid = send_window_seconds(queries) * 0.5;
+            spec.at(
+                mid,
+                ScenarioEvent::RemoveLb {
+                    lb: lb_count as u32 - 1,
+                },
+            )
+        } else {
+            spec
+        }
+    }
+
+    /// Correlated failures: two backends (servers 2 and 5) die at the *same
+    /// instant* at the midpoint of the send window — the multi-failure case
+    /// a single rolling upgrade never exercises.  Consistent-hash and
+    /// Maglev dispatchers must keep their remapping bounds: only flows
+    /// owned by the failed pair move (see
+    /// `crates/core/tests/proptest_churn.rs` and the two-removal probes in
+    /// `srlb-bench`).
+    pub fn correlated_failures(dispatcher: DispatcherConfig, queries: usize) -> Self {
+        let mid = send_window_seconds(queries) * 0.5;
+        Self::dynamic_cluster("correlated_failures", dispatcher, queries)
+            .at(mid, ScenarioEvent::RemoveServer { server: 2 })
+            .at(mid, ScenarioEvent::RemoveServer { server: 5 })
+    }
+
+    /// The [`lb_failover`](Self::lb_failover) schedule under a lossy
+    /// fabric: 1% independent loss on *every* link, with the default
+    /// retransmission policy recovering end to end.  A deterministic
+    /// dispatcher must still complete every request — retransmitted SYNs
+    /// re-hunt at the rebuilt flow table, retransmitted requests steer
+    /// through learned entries — with zero established-connection remaps.
+    pub fn lossy_lb_failover(dispatcher: DispatcherConfig, queries: usize) -> Self {
+        Self::lb_failover(dispatcher, queries)
+            .with_name("lossy_lb_failover")
+            .with_faults(FaultPlan {
+                loss: vec![LossSpec {
+                    link: FaultLink::default(),
+                    probability: 0.01,
+                }],
+                ..FaultPlan::default()
+            })
+    }
+
+    /// Incast into one hot server: server 0 runs 4× slower than its peers
+    /// and the load balancer's link to it is a shallow bounded queue, so
+    /// synchronized arrivals tail-drop.  The client's retransmissions
+    /// absorb the drops; what survives to the application is the queue's
+    /// admission rate, not a hang.
+    pub fn incast(dispatcher: DispatcherConfig, queries: usize) -> Self {
+        Self::dynamic_cluster("incast", dispatcher, queries).with_faults(FaultPlan {
+            queues: vec![QueueSpec {
+                from: FaultNode::Lb { index: 0 },
+                to: FaultNode::Server { index: 0 },
+                capacity: 4,
+                drain_pps: 20.0,
+            }],
+            slow_nodes: vec![SlowNodeSpec {
+                node: FaultNode::Server { index: 0 },
+                multiplier: 4.0,
+            }],
+            ..FaultPlan::default()
+        })
+    }
+
+    /// A saturated load-balancer uplink: the client → LB link is a bounded
+    /// FIFO draining just below the offered SYN/request rate, so bursts
+    /// overflow and tail-drop on ingress.  Every request must still
+    /// complete through retransmission.
+    pub fn saturated_uplink(dispatcher: DispatcherConfig, queries: usize) -> Self {
+        Self::dynamic_cluster("saturated_uplink", dispatcher, queries).with_faults(FaultPlan {
+            queues: vec![QueueSpec {
+                from: FaultNode::Client,
+                to: FaultNode::Lb { index: 0 },
+                capacity: 8,
+                drain_pps: 180.0,
+            }],
+            ..FaultPlan::default()
+        })
     }
 
     /// Overrides the name (builder style).
@@ -1353,6 +1531,10 @@ mod tests {
         let mut spec = ExperimentSpec::poisson_paper(0.5, PolicyKind::RoundRobin);
         spec.cluster.max_servers = 4;
         assert!(spec.validate().is_err());
+        // Zero workers.
+        let mut spec = ExperimentSpec::poisson_paper(0.5, PolicyKind::RoundRobin);
+        spec.cluster.workers = 0;
+        assert!(spec.validate().is_err());
         // Fan-out above server count.
         let spec = ExperimentSpec::poisson_paper(
             0.5,
@@ -1362,6 +1544,19 @@ mod tests {
             },
         );
         assert!(spec.validate().is_err());
+        // Fan-out is checked against the initial cluster, not the
+        // scale-out ceiling: CH(64, 2) on 1 of 8 servers is rejected, on
+        // 2 of 8 it is fine.
+        let mut spec = ExperimentSpec::dynamic_cluster(
+            "x",
+            DispatcherConfig::ConsistentHash { vnodes: 64, k: 2 },
+            100,
+        );
+        spec.cluster.initial_servers = 1;
+        assert_eq!(spec.cluster.max_servers, 8);
+        assert!(spec.validate().is_err());
+        spec.cluster.initial_servers = 2;
+        spec.validate().unwrap();
         // Unsorted schedule.
         let spec = ExperimentSpec::poisson_paper(0.5, PolicyKind::RoundRobin)
             .at(5.0, ScenarioEvent::LbFailover)
@@ -1811,6 +2006,132 @@ mod tests {
             .validate()
             .unwrap();
         with_trace(Vec::new()).validate().unwrap();
+    }
+
+    #[test]
+    fn dynamic_cluster_base_pins_the_scenario_defaults() {
+        let dispatcher = DispatcherConfig::ConsistentHash { vnodes: 64, k: 2 };
+        let spec = ExperimentSpec::dynamic_cluster("base", dispatcher, 800);
+        assert_eq!(spec.name, "base");
+        assert_eq!(spec.seed, 1);
+        assert_eq!(
+            spec.workload,
+            WorkloadSpec::PoissonRate {
+                rate_qps: 96.0,
+                queries: 800,
+                mean_service_ms: 100.0,
+            }
+        );
+        let c = &spec.cluster;
+        assert_eq!((c.initial_servers, c.max_servers), (8, 8));
+        assert_eq!((c.workers, c.cores, c.backlog), (16, 2, 64));
+        assert_eq!((c.vips, c.lb_count), (1, 1));
+        assert!(c.recover_flows);
+        assert!(!c.record_load);
+        assert_eq!(c.flow_table, FlowTableSpec::default());
+        assert_eq!(spec.topology, TopologyModel::Uniform { latency_us: 50 });
+        assert_eq!(
+            spec.policy,
+            PolicyKind::Explicit {
+                dispatcher,
+                acceptance: PolicyConfig::Static { threshold: 4 },
+            }
+        );
+        assert_eq!(spec.request_delay_ms, 200.0);
+        assert!(spec.scenario.is_empty());
+        assert!(spec.faults.is_empty());
+        spec.validate().unwrap();
+    }
+
+    #[test]
+    fn presets_validate() {
+        let d = DispatcherConfig::ConsistentHash { vnodes: 64, k: 2 };
+        for spec in [
+            ExperimentSpec::lb_failover(d, 500),
+            ExperimentSpec::rolling_upgrade(d, 500),
+            ExperimentSpec::scale_out_2x(d, 500),
+            ExperimentSpec::correlated_failures(d, 500),
+            ExperimentSpec::ecmp_reshuffle(d, 2, 500),
+            ExperimentSpec::ecmp_reshuffle(d, 4, 500),
+            ExperimentSpec::lossy_lb_failover(d, 500),
+        ] {
+            spec.validate().expect("preset is valid");
+            assert!(!spec.scenario.is_empty(), "{} has no events", spec.name);
+        }
+        for spec in [
+            ExperimentSpec::incast(d, 500),
+            ExperimentSpec::saturated_uplink(d, 500),
+        ] {
+            spec.validate().expect("fault preset is valid");
+            assert!(
+                spec.faults.injects_faults(),
+                "{} injects nothing",
+                spec.name
+            );
+        }
+        // The degenerate single-LB reshuffle is a valid, event-free control.
+        let control = ExperimentSpec::ecmp_reshuffle(d, 1, 500);
+        control.validate().expect("control preset is valid");
+        assert!(control.scenario.is_empty());
+    }
+
+    #[test]
+    fn ecmp_reshuffle_withdraws_the_last_instance_at_midpoint() {
+        let spec = ExperimentSpec::ecmp_reshuffle(DispatcherConfig::paper_default(), 4, 800);
+        assert_eq!(spec.cluster.lb_count, 4);
+        assert_eq!(spec.scenario.len(), 1);
+        assert_eq!(spec.scenario[0].event, ScenarioEvent::RemoveLb { lb: 3 });
+        assert_eq!(spec.scenario[0].at_seconds, 800.0 / 96.0 * 0.5);
+        spec.validate().unwrap();
+        let json = serde_json::to_string(&spec).unwrap();
+        assert!(json.contains("\"lb_count\":4"));
+        let back: ExperimentSpec = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn preset_serde_roundtrip_preserves_the_schedule() {
+        let spec = ExperimentSpec::rolling_upgrade(
+            DispatcherConfig::Maglev {
+                table_size: 251,
+                k: 2,
+            },
+            300,
+        )
+        .with_seed(9);
+        let json = serde_json::to_string(&spec).unwrap();
+        let back: ExperimentSpec = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, spec);
+        assert_eq!(back.scenario.len(), 2);
+    }
+
+    #[test]
+    fn correlated_failures_events_are_simultaneous() {
+        let spec = ExperimentSpec::correlated_failures(
+            DispatcherConfig::ConsistentHash { vnodes: 64, k: 2 },
+            600,
+        );
+        assert_eq!(spec.scenario.len(), 2);
+        assert_eq!(spec.scenario[0].at_seconds, spec.scenario[1].at_seconds);
+    }
+
+    #[test]
+    fn capacity_overrides_apply_per_server() {
+        let mut cluster = ClusterSpec::paper();
+        cluster.capacity_overrides.push(CapacityOverride {
+            server: 2,
+            workers: 4,
+            cores: 1,
+        });
+        assert_eq!(cluster.capacity_of(2), (4, 1));
+        assert_eq!(cluster.capacity_of(0), (32, 2));
+    }
+
+    #[test]
+    fn validation_rejects_adding_a_live_server() {
+        let spec = ExperimentSpec::dynamic_cluster("x", DispatcherConfig::paper_default(), 100)
+            .at(1.0, ScenarioEvent::AddServer { server: 0 });
+        assert!(spec.validate().is_err());
     }
 
     #[test]

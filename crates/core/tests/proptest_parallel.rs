@@ -9,14 +9,15 @@
 //! fault plans — at every loop (serial, batched, sharded at 1/2/3/4/8
 //! threads, pool forced so the real window protocol runs even on one core)
 //! and compare the fully serialized `RunOutcome`s.  Shard *placement* gets
-//! the same treatment: topology-aware and round-robin plans must agree.
+//! the same treatment: multi-shard topology-aware plans on rack topologies
+//! must agree with the single-shard batched loop.
 
 use proptest::prelude::*;
 use srlb_core::spec::{
     DownWindowSpec, ExperimentSpec, FaultLink, FaultNode, FaultPlan, LossSpec, PolicyKind,
     QueueSpec, ScenarioEvent,
 };
-use srlb_core::{RunOutcome, Runner, ShardPlanning};
+use srlb_core::{RunOutcome, Runner};
 use srlb_metrics::RequestOutcome;
 use srlb_sim::{ExecMode, PoolPolicy, TopologyModel};
 
@@ -241,9 +242,10 @@ proptest! {
     }
 
     /// Shard *placement* is a pure throughput knob: on a rack/zone topology
-    /// the topology-aware and round-robin plans assign nodes differently
-    /// (different lookahead, different cross-shard links) yet must produce
-    /// byte-identical outcomes for random specs at random thread counts.
+    /// the topology-aware plan keeps racks together on shards (rack-sized
+    /// lookahead, cross-rack links crossing shards) yet must produce
+    /// outcomes byte-identical to the single-shard batched loop for random
+    /// specs at random thread counts.
     #[test]
     fn shard_plans_agree_on_rack_topologies(
         rho in 0.3f64..0.9,
@@ -257,23 +259,14 @@ proptest! {
             .with_seed(seed)
             .with_lb_count(2)
             .with_topology(TopologyModel::rack_zone_default());
-        let plan_run = |planning: ShardPlanning| {
-            Runner::new(spec.clone())
-                .unwrap()
-                .with_exec(ExecMode::Sharded { threads })
-                .with_pool_policy(PoolPolicy::Force)
-                .with_shard_planning(planning)
-                .run()
-        };
-        let aware = plan_run(ShardPlanning::TopologyAware);
-        let rr = plan_run(ShardPlanning::RoundRobin);
+        let aware = run(&spec, ExecMode::Sharded { threads });
+        let reference = run(&spec, ExecMode::Batched);
         prop_assert_eq!(
             fingerprint(&aware),
-            fingerprint(&rr),
-            "plans diverged at {} threads: {:?} vs {:?}",
+            fingerprint(&reference),
+            "plan diverged from the batched loop at {} threads: {:?}",
             threads,
-            aware.shard_plan,
-            rr.shard_plan
+            aware.shard_plan
         );
     }
 

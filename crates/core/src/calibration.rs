@@ -55,23 +55,6 @@ pub struct CalibrationConfig {
     pub seed: u64,
 }
 
-impl CalibrationConfig {
-    /// The paper's cluster with probe runs small enough for tests.
-    pub fn paper_scaled(probe_queries: usize) -> Self {
-        CalibrationConfig {
-            servers: 12,
-            workers: 32,
-            cores: 2,
-            backlog: 128,
-            mean_service_ms: 100.0,
-            probe_queries,
-            iterations: 7,
-            reset_tolerance: 0.0,
-            seed: 1,
-        }
-    }
-}
-
 /// Result of the empirical λ₀ search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationResult {

@@ -542,7 +542,7 @@ mod tests {
     }
     use srlb_net::{AddressPlan, PacketBuilder, ServerId, TcpFlags};
     use srlb_server::{PolicyConfig, ServerConfig, ServerNode};
-    use srlb_sim::{Network, RunUntil, Topology};
+    use srlb_sim::{RunUntil, SimCore, Topology};
 
     /// A sink node that records every packet it receives.
     #[derive(Debug, Default)]
@@ -562,7 +562,7 @@ mod tests {
         n: u32,
         policy: PolicyConfig,
         k: usize,
-    ) -> (Network<Packet>, NodeId, NodeId, Vec<NodeId>) {
+    ) -> (SimCore<Packet>, NodeId, NodeId, Vec<NodeId>) {
         let plan = AddressPlan::default();
         let mut directory = Directory::new();
         let client_id = NodeId(0);
@@ -575,7 +575,7 @@ mod tests {
             directory.register(plan.server_addr(ServerId(i)), server_ids[i as usize]);
         }
 
-        let mut net = Network::new(7, Topology::datacenter());
+        let mut net = SimCore::new(7, Topology::datacenter());
         let c = net.add_node(Sink::default());
         let servers: Vec<Ipv6Addr> = plan.server_addrs(n).collect();
         let lb = net.add_node(LoadBalancerNode::new(
@@ -731,7 +731,7 @@ mod tests {
         for i in 0..n {
             directory.register(plan.server_addr(ServerId(i)), NodeId(2 + i as usize));
         }
-        let mut net = Network::new(7, srlb_sim::Topology::datacenter());
+        let mut net = SimCore::new(7, srlb_sim::Topology::datacenter());
         net.add_node(Sink::default());
         let servers: Vec<Ipv6Addr> = plan.server_addrs(n).collect();
         let lb = net.add_node(

@@ -213,11 +213,6 @@ impl Runner {
         self
     }
 
-    /// The execution mode this runner will use.
-    pub fn exec(&self) -> ExecMode {
-        self.exec
-    }
-
     /// The spec this runner executes.
     pub fn spec(&self) -> &ExperimentSpec {
         &self.spec

@@ -344,11 +344,6 @@ impl ServerNode {
         self.backlog.len()
     }
 
-    /// Number of connections currently established on this server.
-    pub fn connection_count(&self) -> usize {
-        self.connections.len()
-    }
-
     /// Re-provisions the server's capacity at runtime (dynamic-cluster
     /// scenarios with heterogeneous or re-provisioned backends).  Worker
     /// growth takes effect immediately; shrinking drains gracefully (running

@@ -1,11 +1,13 @@
-//! The reusable simulation core: clock + event queue + node registry +
-//! statistics, drivable one event at a time.
+//! The simulation engine: clock + event queue + node registry +
+//! statistics, and the loops that drive them.
 //!
-//! [`SimCore`] owns the dispatch logic once; the serial loop
-//! ([`crate::Network`]), the batched loop and the sharded worker threads
-//! ([`crate::ShardedNetwork`]) are all thin drivers over [`SimCore::step`] /
-//! [`SimCore::step_batch`] / [`SimCore::peek_time`] instead of three copies
-//! of the dispatch `match`.
+//! [`SimCore`] owns the dispatch logic once and drives itself under a
+//! [`RunUntil`] policy: [`SimCore::run_until`] is the batched engine loop,
+//! [`SimCore::run_until_stepwise`] the per-event reference loop built on
+//! [`SimCore::step_within`].  The sharded worker threads
+//! ([`crate::ShardedNetwork`]) drive one core per shard through the same
+//! crate-internal segment loop instead of a second copy of the dispatch
+//! `match`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -64,7 +66,73 @@ impl SimStats {
     }
 }
 
-/// What a single [`SimCore::step`] call did.
+/// How far a run segment should advance the simulation.
+///
+/// This collapses the historical unbounded-run / limit-struct / stop flag
+/// trio into one policy value.  All variants additionally end early if
+/// the queue drains or a node calls [`Context::stop`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunUntil {
+    /// Run until the event queue drains.
+    Drained,
+    /// Run until a node requests a stop (or the queue drains).  Semantically
+    /// identical to [`RunUntil::Drained`] — every policy honours stop
+    /// requests — but states the intent that a node is expected to end the
+    /// run; combinators normalise it to `Drained`.
+    Stopped,
+    /// Run until simulated time would exceed this value.
+    Time(SimTime),
+    /// Run for at most this many events.
+    Events(u64),
+    /// Run until the time bound **or** the event budget is hit, whichever
+    /// comes first.
+    TimeOrEvents {
+        /// Stop once simulated time would exceed this value.
+        until: SimTime,
+        /// Stop after processing this many events.
+        max_events: u64,
+    },
+}
+
+impl RunUntil {
+    /// The `(time bound, event budget)` pair this policy imposes.
+    pub fn bounds(self) -> (Option<SimTime>, Option<u64>) {
+        match self {
+            RunUntil::Drained | RunUntil::Stopped => (None, None),
+            RunUntil::Time(t) => (Some(t), None),
+            RunUntil::Events(n) => (None, Some(n)),
+            RunUntil::TimeOrEvents { until, max_events } => (Some(until), Some(max_events)),
+        }
+    }
+
+    fn from_bounds(until: Option<SimTime>, max_events: Option<u64>) -> Self {
+        match (until, max_events) {
+            (None, None) => RunUntil::Drained,
+            (Some(t), None) => RunUntil::Time(t),
+            (None, Some(n)) => RunUntil::Events(n),
+            (Some(t), Some(n)) => RunUntil::TimeOrEvents {
+                until: t,
+                max_events: n,
+            },
+        }
+    }
+
+    /// Additionally bounds the policy by simulated time; the tighter of two
+    /// time bounds wins.
+    pub fn or_time(self, t: SimTime) -> Self {
+        let (until, max_events) = self.bounds();
+        Self::from_bounds(Some(until.map_or(t, |u| u.min(t))), max_events)
+    }
+
+    /// Additionally bounds the policy by an event budget; the tighter of two
+    /// budgets wins.
+    pub fn or_events(self, n: u64) -> Self {
+        let (until, max_events) = self.bounds();
+        Self::from_bounds(until, Some(max_events.map_or(n, |m| m.min(n))))
+    }
+}
+
+/// What a single [`SimCore::step_within`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
     /// One event was dispatched; the clock now reads `time`.
@@ -252,7 +320,7 @@ impl<M> SimCore<M> {
 
     /// Runs `on_start` on every node (idempotent; only the first call does
     /// anything).
-    pub fn start(&mut self) {
+    pub(crate) fn start(&mut self) {
         if self.started {
             return;
         }
@@ -285,7 +353,7 @@ impl<M> SimCore<M> {
     /// backwards).  The sharded driver uses this at window barriers so that
     /// control callbacks observe the same `now` on every shard as they would
     /// on the serial engine.
-    pub fn align_clock(&mut self, t: SimTime) {
+    pub(crate) fn align_clock(&mut self, t: SimTime) {
         self.now = self.now.max(t);
     }
 
@@ -311,7 +379,7 @@ impl<M> SimCore<M> {
 
     /// Clears a pending stop request (drivers call this when a new run
     /// segment begins).
-    pub fn clear_stop_request(&mut self) {
+    pub(crate) fn clear_stop_request(&mut self) {
         self.stop_requested = false;
     }
 
@@ -512,26 +580,15 @@ impl<M> SimCore<M> {
         }
     }
 
-    /// Pops and dispatches the single next event.
+    /// Pops and dispatches the single next event, if its time is at or
+    /// below `until` (`None` bounds nothing) — the bound rides the pop, one
+    /// queue operation per event.
     ///
     /// This is the reference entry point: every other execution mode is
     /// defined as "produces exactly the per-event effects of repeated
-    /// `step()` calls in key order".
-    pub fn step(&mut self) -> StepOutcome {
-        let Some(event) = self.queue.pop() else {
-            return StepOutcome::Idle;
-        };
-        let time = event.key.time;
-        let mut held = None;
-        self.dispatch(event, &mut held);
-        self.put_back(held);
-        StepOutcome::Processed { time }
-    }
-
-    /// [`SimCore::step`] with the time bound fused into the pop: dispatches
-    /// the next event only if its time is at or below `until`, in one queue
-    /// operation instead of a separate peek + bounds check + pop.  `None`
-    /// bounds nothing (identical to `step`).
+    /// `step_within` calls in key order".  It neither starts the core nor
+    /// clears a stop request; [`SimCore::run_until_stepwise`] wraps it in
+    /// a full run segment.
     pub fn step_within(&mut self, until: Option<SimTime>) -> StepOutcome {
         let Some(event) = self.queue.pop_within(until) else {
             return StepOutcome::Idle;
@@ -553,7 +610,7 @@ impl<M> SimCore<M> {
     /// so dispatch order is exactly ascending key order.  If a stop request
     /// or the budget interrupts the batch, the remaining ties simply stay
     /// queued with their keys intact.
-    pub fn step_batch(&mut self, budget: u64) -> u64 {
+    pub(crate) fn step_batch(&mut self, budget: u64) -> u64 {
         if budget == 0 || self.stop_requested {
             return 0;
         }
@@ -597,12 +654,11 @@ impl<M> SimCore<M> {
     /// Runs events in key order until the queue drains, an event at a time
     /// later than `until` surfaces, `budget` events have been dispatched, or
     /// a callback requests a stop — the batched engine loop.  Exactly
-    /// equivalent to driving [`SimCore::step`] under the same bounds, but
-    /// with one fused queue peek per event instead of separate
-    /// peek/pop/policy passes, and the target node staying out of the
-    /// registry across consecutive events that hit it.  Returns the number
-    /// of events processed.
-    pub fn run_segment(&mut self, until: Option<SimTime>, budget: u64) -> u64 {
+    /// equivalent to driving [`SimCore::step_within`] under the same bounds,
+    /// but with the target node staying out of the registry across
+    /// consecutive events that hit it.  Returns the number of events
+    /// processed.
+    pub(crate) fn run_segment(&mut self, until: Option<SimTime>, budget: u64) -> u64 {
         let mut processed = 0u64;
         let mut held: HeldNode<M> = None;
         while processed < budget && !self.stop_requested {
@@ -614,6 +670,45 @@ impl<M> SimCore<M> {
         }
         self.put_back(held);
         processed
+    }
+
+    /// Runs under the given policy using the batched engine loop.  Returns
+    /// the statistics of the whole run so far.
+    ///
+    /// The first run starts every node (`on_start`).  A [`Context::stop`]
+    /// request only ends the run segment it was issued in (including one
+    /// issued from an `on_start` of this call); a subsequent run call
+    /// resumes processing, so drivers can alternate run segments with
+    /// [`SimCore::control`] events.
+    pub fn run_until(&mut self, policy: RunUntil) -> SimStats {
+        self.begin_segment();
+        let (until, max_events) = policy.bounds();
+        self.run_segment(until, max_events.unwrap_or(u64::MAX));
+        self.stats
+    }
+
+    /// Runs under the given policy one event at a time — the reference
+    /// execution the batched and sharded modes are checked against.  Same
+    /// start and stop semantics as [`SimCore::run_until`].
+    pub fn run_until_stepwise(&mut self, policy: RunUntil) -> SimStats {
+        self.begin_segment();
+        let (until, max_events) = policy.bounds();
+        let mut processed = 0u64;
+        while !self.stop_requested && max_events.is_none_or(|m| processed < m) {
+            match self.step_within(until) {
+                StepOutcome::Processed { .. } => processed += 1,
+                StepOutcome::Idle => break,
+            }
+        }
+        self.stats
+    }
+
+    /// Opens a run segment.  The stop request is cleared *before* the
+    /// start so a stop issued from an `on_start` callback still ends this
+    /// segment before any event is processed.
+    fn begin_segment(&mut self) {
+        self.clear_stop_request();
+        self.start();
     }
 
     /// Immutable access to a node as a `dyn Node<M>`.
@@ -762,17 +857,8 @@ mod tests {
         }
     }
 
-    fn drained(core: &mut SimCore<u32>) -> u64 {
-        core.start();
-        let mut n = 0;
-        while let StepOutcome::Processed { .. } = core.step() {
-            n += 1;
-        }
-        n
-    }
-
     #[test]
-    fn step_processes_one_event_and_reports_time() {
+    fn step_within_processes_one_event_and_reports_time() {
         let mut core = SimCore::new(1, Topology::uniform(SimDuration::from_micros(100)));
         let a = core.add_node(Echo {
             peer: None,
@@ -786,7 +872,12 @@ mod tests {
         });
         core.start();
         assert_eq!(core.peek_time(), Some(SimTime::from_nanos(100_000)));
-        let outcome = core.step();
+        assert_eq!(
+            core.step_within(Some(SimTime::from_nanos(99_999))),
+            StepOutcome::Idle,
+            "an event past the bound stays queued"
+        );
+        let outcome = core.step_within(None);
         assert_eq!(
             outcome,
             StepOutcome::Processed {
@@ -800,7 +891,7 @@ mod tests {
     fn idle_step_on_empty_queue() {
         let mut core: SimCore<u32> = SimCore::new(1, Topology::datacenter());
         core.start();
-        assert_eq!(core.step(), StepOutcome::Idle);
+        assert_eq!(core.step_within(None), StepOutcome::Idle);
         assert_eq!(core.stats().events_processed, 0);
     }
 
@@ -820,7 +911,7 @@ mod tests {
         let mut core = SimCore::new(1, Topology::datacenter());
         let vacant = core.reserve_node();
         core.add_node(Sprayer { vacant });
-        drained(&mut core);
+        core.run_until_stepwise(RunUntil::Drained);
         let stats = core.stats();
         assert_eq!(stats.dropped_unroutable, 2);
         assert_eq!(stats.dropped_vacant, 1);
@@ -835,7 +926,7 @@ mod tests {
     #[test]
     fn step_batch_matches_stepwise_execution() {
         // A fan-out node whose messages all land at the same timestamp; the
-        // batched loop must deliver them in the same order as step().
+        // batched loop must deliver them in the same order as step_within.
         struct Fan {
             peers: Vec<NodeId>,
         }
@@ -865,7 +956,7 @@ mod tests {
             if batched {
                 while core.step_batch(u64::MAX) > 0 {}
             } else {
-                while let StepOutcome::Processed { .. } = core.step() {}
+                while let StepOutcome::Processed { .. } = core.step_within(None) {}
             }
             let seen = sinks
                 .iter()
@@ -912,7 +1003,7 @@ mod tests {
             if batched {
                 while core.step_batch(u64::MAX) > 0 {}
             } else {
-                while let StepOutcome::Processed { .. } = core.step() {}
+                while let StepOutcome::Processed { .. } = core.step_within(None) {}
             }
             let mut log = vec![];
             for (idx, id) in [a, b].into_iter().enumerate() {
@@ -1040,7 +1131,7 @@ mod tests {
             peer: sink,
             timer_fired: false,
         });
-        drained(&mut core);
+        core.run_until_stepwise(RunUntil::Drained);
         let stats = core.stats();
         assert_eq!(stats.messages_delivered, 0);
         assert_eq!(stats.dropped_injected, 1);
@@ -1054,5 +1145,355 @@ mod tests {
         let mut core: SimCore<u32> = SimCore::new(5, Topology::datacenter());
         core.set_faults(&crate::faults::FaultConfig::default());
         assert!(core.faults.is_none());
+    }
+
+    #[test]
+    fn ping_pong_terminates_and_counts() {
+        let mut core = SimCore::new(1, Topology::uniform(SimDuration::from_micros(100)));
+        let a = core.add_node(Echo {
+            peer: None,
+            cap: 10,
+            seen: vec![],
+        });
+        let _b = core.add_node(Echo {
+            peer: Some(a),
+            cap: 10,
+            seen: vec![],
+        });
+        let stats = core.run_until(RunUntil::Drained);
+        assert_eq!(stats.messages_delivered, 11); // msgs 0..=10
+        assert_eq!(stats.timers_fired, 0);
+        assert_eq!(stats.messages_dropped, 0);
+        // one-way latency 100us, 11 hops
+        assert_eq!(
+            stats.last_event_time,
+            SimTime::ZERO + SimDuration::from_micros(1100)
+        );
+        let a_node: Echo = core.take_node(a).unwrap();
+        assert_eq!(a_node.seen, vec![0, 2, 4, 6, 8, 10]);
+    }
+
+    #[test]
+    fn run_until_respects_time_limit() {
+        let mut core = SimCore::new(1, Topology::uniform(SimDuration::from_millis(1)));
+        let a = core.add_node(Echo {
+            peer: None,
+            cap: 1_000,
+            seen: vec![],
+        });
+        let _b = core.add_node(Echo {
+            peer: Some(a),
+            cap: 1_000,
+            seen: vec![],
+        });
+        let stats = core.run_until(RunUntil::Time(SimTime::from_secs_f64(0.0105)));
+        assert!(stats.messages_delivered <= 11);
+        assert!(core.now() <= SimTime::from_secs_f64(0.0105));
+    }
+
+    #[test]
+    fn run_respects_event_limit() {
+        let mut core = SimCore::new(1, Topology::uniform(SimDuration::from_micros(1)));
+        let a = core.add_node(Echo {
+            peer: None,
+            cap: u32::MAX,
+            seen: vec![],
+        });
+        let _b = core.add_node(Echo {
+            peer: Some(a),
+            cap: u32::MAX,
+            seen: vec![],
+        });
+        let stats = core.run_until(RunUntil::Events(50));
+        assert_eq!(stats.events_processed, 50);
+    }
+
+    #[test]
+    fn run_until_combinators_normalise_and_tighten() {
+        let t5 = SimTime::from_nanos(5);
+        let t9 = SimTime::from_nanos(9);
+        assert_eq!(RunUntil::Drained.or_time(t5), RunUntil::Time(t5));
+        assert_eq!(RunUntil::Stopped.or_events(3), RunUntil::Events(3));
+        assert_eq!(RunUntil::Time(t9).or_time(t5), RunUntil::Time(t5));
+        assert_eq!(RunUntil::Time(t5).or_time(t9), RunUntil::Time(t5));
+        assert_eq!(RunUntil::Events(7).or_events(9), RunUntil::Events(7));
+        assert_eq!(
+            RunUntil::Time(t5).or_events(7),
+            RunUntil::TimeOrEvents {
+                until: t5,
+                max_events: 7
+            }
+        );
+        assert_eq!(
+            RunUntil::TimeOrEvents {
+                until: t9,
+                max_events: 9
+            }
+            .or_time(t5)
+            .or_events(7),
+            RunUntil::TimeOrEvents {
+                until: t5,
+                max_events: 7
+            }
+        );
+        assert_eq!(RunUntil::Stopped.bounds(), (None, None));
+    }
+
+    #[test]
+    fn stepwise_and_batched_runs_agree() {
+        fn outcome(batched: bool) -> (SimStats, Vec<u32>) {
+            let mut core = SimCore::new(1, Topology::uniform(SimDuration::from_micros(100)));
+            let a = core.add_node(Echo {
+                peer: None,
+                cap: 20,
+                seen: vec![],
+            });
+            let _b = core.add_node(Echo {
+                peer: Some(a),
+                cap: 20,
+                seen: vec![],
+            });
+            if batched {
+                core.run_until(RunUntil::Drained);
+            } else {
+                core.run_until_stepwise(RunUntil::Drained);
+            }
+            let stats = core.stats();
+            (stats, core.take_node::<Echo>(a).unwrap().seen)
+        }
+        assert_eq!(outcome(true), outcome(false));
+    }
+
+    /// A node that schedules a periodic timer and stops the run after 5 fires.
+    struct Ticker {
+        fired: u32,
+    }
+
+    impl Node<u32> for Ticker {
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.schedule_timer(SimDuration::from_millis(10), TimerToken(1));
+        }
+        fn on_message(&mut self, _msg: u32, _from: NodeId, _ctx: &mut Context<'_, u32>) {}
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, u32>) {
+            assert_eq!(token, TimerToken(1));
+            self.fired += 1;
+            if self.fired >= 5 {
+                ctx.stop();
+            } else {
+                ctx.schedule_timer(SimDuration::from_millis(10), TimerToken(1));
+            }
+        }
+    }
+
+    #[test]
+    fn timers_fire_and_stop_works() {
+        let mut core = SimCore::new(7, Topology::datacenter());
+        let t = core.add_node(Ticker { fired: 0 });
+        let stats = core.run_until(RunUntil::Drained);
+        assert_eq!(stats.timers_fired, 5);
+        assert_eq!(core.now(), SimTime::from_secs_f64(0.05));
+        let ticker: Ticker = core.take_node(t).unwrap();
+        assert_eq!(ticker.fired, 5);
+    }
+
+    struct Lost;
+    impl Node<u32> for Lost {
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            // send to a node id that does not exist
+            ctx.send(NodeId(99), 1);
+        }
+        fn on_message(&mut self, _msg: u32, _from: NodeId, _ctx: &mut Context<'_, u32>) {}
+    }
+
+    #[test]
+    fn messages_to_unknown_nodes_are_dropped_and_counted() {
+        let mut core = SimCore::new(7, Topology::datacenter());
+        core.add_node(Lost);
+        let stats = core.run_until(RunUntil::Drained);
+        assert_eq!(stats.messages_dropped, 1);
+        assert_eq!(stats.dropped_unroutable, 1);
+        assert_eq!(stats.dropped_vacant, 0);
+        assert_eq!(stats.messages_delivered, 0);
+    }
+
+    #[test]
+    fn identical_seeds_give_identical_runs() {
+        fn run_once(seed: u64) -> Vec<u32> {
+            struct RandomSender {
+                peer: Option<NodeId>,
+                got: Vec<u32>,
+            }
+            impl Node<u32> for RandomSender {
+                fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                    if let Some(peer) = self.peer {
+                        for _ in 0..20 {
+                            let v = ctx.random_index(1000) as u32;
+                            ctx.send(peer, v);
+                        }
+                    }
+                }
+                fn on_message(&mut self, msg: u32, _from: NodeId, _ctx: &mut Context<'_, u32>) {
+                    self.got.push(msg);
+                }
+            }
+            let mut core = SimCore::new(seed, Topology::datacenter());
+            let sink = core.add_node(RandomSender {
+                peer: None,
+                got: vec![],
+            });
+            let _src = core.add_node(RandomSender {
+                peer: Some(sink),
+                got: vec![],
+            });
+            core.run_until(RunUntil::Drained);
+            let sink_node: RandomSender = core.take_node(sink).unwrap();
+            sink_node.got
+        }
+        assert_eq!(run_once(5), run_once(5));
+        assert_ne!(run_once(5), run_once(6));
+    }
+
+    #[test]
+    fn trace_records_deliveries_when_enabled() {
+        let mut core = SimCore::new(1, Topology::datacenter());
+        let a = core.add_node(Echo {
+            peer: None,
+            cap: 2,
+            seen: vec![],
+        });
+        let _b = core.add_node(Echo {
+            peer: Some(a),
+            cap: 2,
+            seen: vec![],
+        });
+        core.enable_trace(|m| format!("msg {m}"));
+        core.run_until(RunUntil::Drained);
+        assert_eq!(core.trace().len(), 3);
+        assert!(core.trace().entries()[0].description.contains("msg 0"));
+    }
+
+    #[test]
+    fn with_node_gives_read_access() {
+        let mut core = SimCore::new(1, Topology::datacenter());
+        let a = core.add_node(Echo {
+            peer: None,
+            cap: 0,
+            seen: vec![],
+        });
+        let name = core.with_node(a, |n| n.name()).unwrap();
+        assert_eq!(name, "");
+        assert!(core.with_node(NodeId(42), |_| ()).is_none());
+    }
+
+    #[test]
+    fn reserved_slots_drop_messages_until_filled() {
+        let mut core = SimCore::new(1, Topology::datacenter());
+        let reserved = core.reserve_node();
+
+        #[derive(Debug)]
+        struct To {
+            target: NodeId,
+        }
+        impl Node<u32> for To {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                ctx.send(self.target, 5);
+            }
+            fn on_message(&mut self, _m: u32, _f: NodeId, _c: &mut Context<'_, u32>) {}
+        }
+        core.add_node(To { target: reserved });
+        let stats = core.run_until(RunUntil::Drained);
+        assert_eq!(stats.messages_dropped, 1);
+        assert_eq!(stats.dropped_vacant, 1);
+        assert_eq!(stats.dropped_unroutable, 0);
+        assert_eq!(stats.messages_delivered, 0);
+
+        // Filling the slot mid-run starts the node and delivers to it.
+        core.insert_node(
+            reserved,
+            Echo {
+                peer: None,
+                cap: 0,
+                seen: vec![],
+            },
+        );
+        core.add_node(To { target: reserved });
+        core.run_until(RunUntil::Drained);
+        let echo: Echo = core.take_node(reserved).unwrap();
+        assert_eq!(echo.seen, vec![5]);
+    }
+
+    #[test]
+    fn late_added_nodes_are_started_immediately() {
+        let mut core = SimCore::new(7, Topology::datacenter());
+        core.add_node(Ticker { fired: 0 });
+        core.run_until(RunUntil::Drained);
+        // The network has already started and stopped once; a node added now
+        // receives on_start right away and its timers are delivered by the
+        // next run segment.
+        let t2 = core.add_node(Ticker { fired: 0 });
+        core.run_until(RunUntil::Drained);
+        let ticker: Ticker = core.take_node(t2).unwrap();
+        assert_eq!(ticker.fired, 5);
+    }
+
+    #[test]
+    fn control_runs_with_a_context_and_node_as_mut_mutates() {
+        let mut core = SimCore::new(1, Topology::datacenter());
+        let a = core.add_node(Echo {
+            peer: None,
+            cap: 0,
+            seen: vec![],
+        });
+        core.run_until(RunUntil::Drained);
+        // A control event can both mutate the node and send messages.
+        let sent = core
+            .control::<Echo, _>(a, |echo, ctx| {
+                echo.seen.push(99);
+                ctx.send(a, 1);
+                echo.seen.len()
+            })
+            .unwrap();
+        assert_eq!(sent, 1);
+        core.run_until(RunUntil::Drained);
+        core.node_as_mut::<Echo>(a).unwrap().cap = 7;
+        let echo: Echo = core.take_node(a).unwrap();
+        assert_eq!(echo.seen, vec![99, 1]);
+        assert_eq!(echo.cap, 7);
+    }
+
+    #[test]
+    fn stop_from_on_start_ends_the_segment_before_any_event() {
+        struct StopImmediately {
+            got: u32,
+        }
+        impl Node<u32> for StopImmediately {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                let me = ctx.self_id();
+                ctx.send(me, 1);
+                ctx.stop();
+            }
+            fn on_message(&mut self, msg: u32, _f: NodeId, _c: &mut Context<'_, u32>) {
+                self.got += msg;
+            }
+        }
+        let mut core = SimCore::new(1, Topology::datacenter());
+        let a = core.add_node(StopImmediately { got: 0 });
+        let stats = core.run_until(RunUntil::Drained);
+        assert_eq!(stats.events_processed, 0, "stop from on_start is honoured");
+        // The stop only ended that segment: a further run delivers normally.
+        core.run_until(RunUntil::Drained);
+        let node: StopImmediately = core.take_node(a).unwrap();
+        assert_eq!(node.got, 1);
+    }
+
+    #[test]
+    fn control_on_wrong_type_or_empty_slot_is_none() {
+        let mut core: SimCore<u32> = SimCore::new(1, Topology::datacenter());
+        let a = core.add_node(Lost);
+        let reserved = core.reserve_node();
+        assert!(core.control::<Echo, _>(a, |_, _| ()).is_none());
+        assert!(core.control::<Lost, _>(reserved, |_, _| ()).is_none());
+        assert!(core.control::<Lost, _>(NodeId(99), |_, _| ()).is_none());
+        assert!(core.node_as_mut::<Echo>(a).is_none());
     }
 }

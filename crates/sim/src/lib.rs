@@ -18,14 +18,13 @@
 //! * [`Topology`] — per-link one-way latencies,
 //! * [`Steering`] — resilient ECMP hashing across a tier of equal-cost
 //!   nodes (the model of the routers in front of a load-balancer fleet),
-//! * [`SimCore`] — the reusable engine core: clock + event queue + node
-//!   registry, drivable one event ([`SimCore::step`]) or one
-//!   same-timestamp batch at a time,
-//! * [`Network`] — the single-threaded frontend over the core, run under a
-//!   [`RunUntil`] policy,
-//! * [`ShardedNetwork`] — the multi-threaded frontend: worker-thread shards
-//!   synchronised by conservative time windows, byte-identical to the
-//!   serial loop,
+//! * [`SimCore`] — the single-threaded engine: clock + event queue + node
+//!   registry, run under a [`RunUntil`] policy batched
+//!   ([`SimCore::run_until`]) or one event at a time
+//!   ([`SimCore::run_until_stepwise`]),
+//! * [`ShardedNetwork`] — the multi-threaded frontend: one core per
+//!   worker-thread shard, synchronised by conservative time windows and
+//!   byte-identical to the serial loop,
 //! * [`SimRng`] — a seeded random number generator that can be forked into
 //!   independent, reproducible streams.
 //!
@@ -39,7 +38,7 @@
 //! ## Example
 //!
 //! ```
-//! use srlb_sim::{Context, Network, Node, NodeId, RunUntil, SimDuration, Topology};
+//! use srlb_sim::{Context, Node, NodeId, RunUntil, SimCore, SimDuration, Topology};
 //!
 //! struct Counter { peer: Option<NodeId>, received: u32 }
 //!
@@ -57,11 +56,11 @@
 //!     }
 //! }
 //!
-//! let mut net = Network::new(42, Topology::uniform(SimDuration::from_micros(50)));
-//! let a = net.add_node(Counter { peer: None, received: 0 });
-//! let _b = net.add_node(Counter { peer: Some(a), received: 0 });
-//! net.run_until(RunUntil::Drained);
-//! assert_eq!(net.stats().messages_delivered, 3);
+//! let mut sim = SimCore::new(42, Topology::uniform(SimDuration::from_micros(50)));
+//! let a = sim.add_node(Counter { peer: None, received: 0 });
+//! let _b = sim.add_node(Counter { peer: Some(a), received: 0 });
+//! let stats = sim.run_until(RunUntil::Drained);
+//! assert_eq!(stats.messages_delivered, 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,7 +71,6 @@ pub mod core;
 pub mod event;
 pub mod faults;
 pub mod link;
-pub mod network;
 pub mod node;
 pub mod pool;
 pub mod rng;
@@ -81,11 +79,10 @@ pub mod steering;
 pub mod time;
 pub mod trace;
 
-pub use crate::core::{SimCore, SimStats, StepOutcome};
+pub use crate::core::{RunUntil, SimCore, SimStats, StepOutcome};
 pub use event::{EventKey, EventQueue};
 pub use faults::{DownWindow, DropCause, FaultConfig, LinkMatch, LossRule, OneShotDrop, QueueRule};
 pub use link::{Topology, TopologyModel};
-pub use network::{Network, RunUntil};
 pub use node::{Context, Node, NodeId, TimerToken};
 pub use rng::SimRng;
 pub use shard::{ExecMode, PoolPolicy, ShardPlan, ShardedNetwork};

@@ -12,7 +12,8 @@ use crate::link::Topology;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a node inside a [`crate::Network`].
+/// Identifier of a node inside a [`crate::SimCore`] (or a
+/// [`crate::ShardedNetwork`]): its slot in the node table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub usize);
 
@@ -167,15 +168,23 @@ impl<'a, M> Context<'a, M> {
     /// Sends `msg` to node `to`; it will be delivered after the link latency
     /// between this node and `to`.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        let latency = self.topology.latency(self.self_id, to);
-        self.send_with_extra_delay(to, msg, latency, SimDuration::ZERO);
-    }
-
-    /// Sends `msg` to node `to` with an additional delay on top of the link
-    /// latency (e.g. to model serialisation or processing time).
-    pub fn send_after(&mut self, to: NodeId, msg: M, extra: SimDuration) {
-        let latency = self.topology.latency(self.self_id, to);
-        self.send_with_extra_delay(to, msg, latency, extra);
+        let deliver_at = self.now + self.topology.latency(self.self_id, to);
+        let key = self.next_key(deliver_at);
+        let payload = EventPayload::Message {
+            from: self.self_id,
+            msg,
+        };
+        if let Some(router) = self.router.as_deref_mut() {
+            if let Some(shard) = router.remote_shard(to) {
+                router.outbound[shard].push(ScheduledEvent {
+                    key,
+                    target: to,
+                    payload,
+                });
+                return;
+            }
+        }
+        self.queue.push(key, to, payload);
     }
 
     /// Replies to the sender of the message currently being handled.
@@ -201,32 +210,6 @@ impl<'a, M> Context<'a, M> {
             src: self.self_id,
             seq,
         }
-    }
-
-    fn send_with_extra_delay(
-        &mut self,
-        to: NodeId,
-        msg: M,
-        latency: SimDuration,
-        extra: SimDuration,
-    ) {
-        let deliver_at = self.now + latency + extra;
-        let key = self.next_key(deliver_at);
-        let payload = EventPayload::Message {
-            from: self.self_id,
-            msg,
-        };
-        if let Some(router) = self.router.as_deref_mut() {
-            if let Some(shard) = router.remote_shard(to) {
-                router.outbound[shard].push(ScheduledEvent {
-                    key,
-                    target: to,
-                    payload,
-                });
-                return;
-            }
-        }
-        self.queue.push(key, to, payload);
     }
 
     /// Schedules a timer for this node to fire after `delay`, carrying

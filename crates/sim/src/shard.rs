@@ -27,10 +27,10 @@
 //! outboxes by swapping double-buffered mailbox vectors — no channels, no
 //! per-window allocation.
 //!
-//! On hosts with a single available core — or under
-//! [`PoolPolicy::Never`] — a multi-shard plan *collapses* to the single-core
-//! batched engine: conservative windows only pay off when shards actually
-//! run in parallel, and outputs are identical either way by construction.
+//! On hosts with a single available core (or with `SRLB_SIM_POOL=off`) a
+//! multi-shard plan *collapses* to the single-core batched engine:
+//! conservative windows only pay off when shards actually run in parallel,
+//! and outputs are identical either way by construction.
 //!
 //! # Why the result is byte-identical to the serial loop
 //!
@@ -59,10 +59,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::core::{SimCore, SimStats};
+use crate::core::{RunUntil, SimCore, SimStats};
 use crate::event::ScheduledEvent;
 use crate::link::{Topology, TopologyModel};
-use crate::network::{drive_core, RunUntil};
 use crate::node::{Context, Node, NodeId};
 use crate::pool::WorkerPool;
 use crate::time::{SimDuration, SimTime};
@@ -128,8 +127,6 @@ pub enum PoolPolicy {
     /// Always run the threaded pool (tests use this to exercise the full
     /// window protocol regardless of host shape).
     Force,
-    /// Never spawn workers: collapse to the single-core batched engine.
-    Never,
 }
 
 impl PoolPolicy {
@@ -140,7 +137,6 @@ impl PoolPolicy {
     fn threaded(self) -> bool {
         match self {
             PoolPolicy::Force => true,
-            PoolPolicy::Never => false,
             PoolPolicy::Auto => match std::env::var(Self::ENV_VAR).ok().as_deref() {
                 Some("force") => true,
                 Some("off") => false,
@@ -290,7 +286,7 @@ impl ShardPlan {
 /// With a single shard this is exactly the batched serial engine (no threads
 /// are spawned); with `S > 1` shards, a persistent `WorkerPool` of `S - 1`
 /// threads plus the calling thread each drive one core.  Either way the run
-/// output is byte-identical to [`crate::Network`] on the same seed and node
+/// output is byte-identical to a lone [`SimCore`] on the same seed and node
 /// layout.
 pub struct ShardedNetwork<M> {
     cores: Vec<SimCore<M>>,
@@ -329,7 +325,7 @@ impl<M> ShardedNetwork<M> {
     /// zero (some cross-shard link has no latency, so conservative windows
     /// would permit no parallelism), when the plan has one shard, or when
     /// `policy` resolves against worker threads (no second core available,
-    /// or [`PoolPolicy::Never`]).
+    /// or `SRLB_SIM_POOL=off`).
     pub fn with_pool_policy(
         seed: u64,
         topology: Topology,
@@ -557,6 +553,13 @@ impl<M> ShardedNetwork<M> {
     where
         M: Send + 'static,
     {
+        if let [core] = self.cores.as_mut_slice() {
+            return if batched {
+                core.run_until(policy)
+            } else {
+                core.run_until_stepwise(policy)
+            };
+        }
         for core in &mut self.cores {
             core.clear_stop_request();
         }
@@ -566,18 +569,13 @@ impl<M> ShardedNetwork<M> {
             core.start();
         }
         self.collect_outboxes();
-
-        if self.cores.len() == 1 {
-            drive_core(&mut self.cores[0], policy, batched);
-        } else {
-            self.run_windows(policy);
-            // At a time-bounded barrier the serial engine's clock reads the
-            // time of the last processed event *globally*; align every shard
-            // so barrier-time control callbacks observe the identical `now`.
-            let global_now = self.now();
-            for core in &mut self.cores {
-                core.align_clock(global_now);
-            }
+        self.run_windows(policy);
+        // At a time-bounded barrier the serial engine's clock reads the
+        // time of the last processed event *globally*; align every shard so
+        // barrier-time control callbacks observe the identical `now`.
+        let global_now = self.now();
+        for core in &mut self.cores {
+            core.align_clock(global_now);
         }
         self.stats()
     }
@@ -604,7 +602,6 @@ impl<M> ShardedNetwork<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Network;
     use crate::node::TimerToken;
 
     /// Ping-pong across a uniform-latency link, counting what each side saw.
@@ -676,7 +673,7 @@ mod tests {
     type SprayOutcome = (SimStats, Vec<Vec<(usize, u32)>>);
 
     fn spray_serial(n: usize) -> SprayOutcome {
-        let mut net = Network::new(11, Topology::uniform(SimDuration::from_micros(50)));
+        let mut net = SimCore::new(11, Topology::uniform(SimDuration::from_micros(50)));
         let ids = spray_fleet(&mut |s| net.add_node(s), n);
         net.run_until_stepwise(RunUntil::Drained);
         let stats = net.stats();
@@ -722,7 +719,7 @@ mod tests {
     #[test]
     fn ping_pong_across_shards_matches_serial() {
         fn serial() -> (SimStats, Vec<u32>) {
-            let mut net = Network::new(1, Topology::uniform(SimDuration::from_micros(100)));
+            let mut net = SimCore::new(1, Topology::uniform(SimDuration::from_micros(100)));
             let a = net.add_node(Echo {
                 peer: None,
                 cap: 40,
@@ -793,7 +790,7 @@ mod tests {
                 net.run_until(RunUntil::Drained);
                 (net.stats(), t, net.take_node::<Echo>(a).unwrap().seen)
             } else {
-                let mut net = Network::new(3, topo);
+                let mut net = SimCore::new(3, topo);
                 let a = net.add_node(Echo {
                     peer: None,
                     cap: 1_000,
@@ -899,19 +896,6 @@ mod tests {
         let _ = ShardPlan::from_assignments(vec![0, 2], 2);
     }
 
-    #[test]
-    fn pool_policy_never_collapses_to_one_shard() {
-        let plan = ShardPlan::from_assignments(vec![0, 1], 2);
-        let net: ShardedNetwork<u32> = ShardedNetwork::with_pool_policy(
-            1,
-            Topology::uniform(SimDuration::from_micros(100)),
-            plan,
-            PoolPolicy::Never,
-        );
-        assert_eq!(net.shards(), 1);
-        assert_eq!(net.lookahead(), SimDuration::ZERO);
-    }
-
     /// `RunUntil::Events` contract, exact half: when no window processes
     /// more than one event globally (a ping-pong has exactly one in-flight
     /// message), a budget stop lands on exactly the serial count — for any
@@ -1012,7 +996,7 @@ mod tests {
                 seen: vec![],
             });
         }
-        let mut serial = Network::new(9, Topology::uniform(SimDuration::from_micros(40)));
+        let mut serial = SimCore::new(9, Topology::uniform(SimDuration::from_micros(40)));
         build(&mut |e| serial.add_node(e));
         serial.run_until_stepwise(RunUntil::Drained);
 
@@ -1101,7 +1085,7 @@ mod tests {
                 log = net.take_node::<Ticker>(t).unwrap().log;
                 acked = net.take_node::<SleepyRelay>(r).unwrap().acked;
             } else {
-                let mut net = Network::new(7, topo);
+                let mut net = SimCore::new(7, topo);
                 let relay = NodeId(1);
                 let t = net.add_node(Ticker {
                     relay,

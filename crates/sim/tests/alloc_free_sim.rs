@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use srlb_sim::{
-    Context, EventKey, EventQueue, Network, Node, NodeId, RunUntil, SimDuration, SimTime,
+    Context, EventKey, EventQueue, Node, NodeId, RunUntil, SimCore, SimDuration, SimTime,
     TimerToken, Topology,
 };
 
@@ -119,8 +119,8 @@ fn event_scheduling_is_allocation_free_in_steady_state() {
     assert_eq!(queue.capacity(), capacity, "heap never grew");
     assert_eq!(queue.scheduled_total(), 10_000);
 
-    // --- Network: a warmed-up engine delivers events without allocating ----
-    let mut net: Network<u64> = Network::new(1, Topology::datacenter());
+    // --- SimCore: a warmed-up engine delivers events without allocating ----
+    let mut net: SimCore<u64> = SimCore::new(1, Topology::datacenter());
     let a = net.add_node(Counter {
         peer: None,
         bounces: u32::MAX,
@@ -147,7 +147,7 @@ fn event_scheduling_is_allocation_free_in_steady_state() {
         "steady-state event delivery must not allocate (got {allocs})"
     );
     assert!(stats.messages_delivered >= 400);
-    let b2_node: Counter = net.into_node(b2);
+    let b2_node: Counter = net.take_node(b2).expect("counter node present");
     assert!(b2_node.received > 0);
 
     // --- Batched loop: same-timestamp bursts stay alloc-free ---------------
@@ -176,7 +176,7 @@ fn event_scheduling_is_allocation_free_in_steady_state() {
             ctx.schedule_timer(SimDuration::from_micros(100), TimerToken(0));
         }
     }
-    let mut net: Network<u64> = Network::new(2, Topology::datacenter());
+    let mut net: SimCore<u64> = SimCore::new(2, Topology::datacenter());
     let sinks: Vec<NodeId> = (0..8)
         .map(|_| {
             net.add_node(Counter {
@@ -210,7 +210,7 @@ fn event_scheduling_is_allocation_free_in_steady_state() {
     // state lookup, queue drain).  Timer-driven fan rounds keep the event
     // chain alive through drops; after a warm-up segment populated the lazy
     // link-state table, steady-state judged delivery must be alloc-free.
-    let mut net: Network<u64> = Network::new(4, Topology::datacenter());
+    let mut net: SimCore<u64> = SimCore::new(4, Topology::datacenter());
     let sinks: Vec<NodeId> = (0..8)
         .map(|_| {
             net.add_node(Counter {
@@ -225,7 +225,7 @@ fn event_scheduling_is_allocation_free_in_steady_state() {
         sinks,
         remaining: 50,
     });
-    net.core_mut().set_faults(&srlb_sim::FaultConfig {
+    net.set_faults(&srlb_sim::FaultConfig {
         loss: vec![srlb_sim::LossRule {
             link: srlb_sim::LinkMatch {
                 from: None,

@@ -16,7 +16,7 @@ use srlb::core::LoadBalancerNode;
 use srlb::net::{AddressPlan, Packet, PacketBuilder, ServerId, TcpFlags};
 use srlb::server::server_node::encode_request_payload;
 use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
-use srlb::sim::{Context, Network, Node, NodeId, RunUntil, SimDuration, Topology};
+use srlb::sim::{Context, Node, NodeId, RunUntil, SimCore, SimDuration, Topology};
 
 /// A scripted client: sends the SYN, then answers the SYN-ACK with the HTTP
 /// request, and stops once the response arrives.
@@ -64,7 +64,7 @@ fn main() {
         directory.register(plan.server_addr(ServerId(i)), NodeId(2 + i as usize));
     }
 
-    let mut net: Network<Packet> = Network::new(7, Topology::datacenter());
+    let mut net: SimCore<Packet> = SimCore::new(7, Topology::datacenter());
     net.enable_trace(|packet| packet.to_string());
 
     net.add_node(ScriptedClient {

@@ -18,7 +18,7 @@ use srlb::net::{AddressPlan, Packet, PacketBuilder, ServerId, TcpFlags};
 use srlb::server::server_node::encode_request_payload;
 use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
 use srlb::sim::{
-    Context, Network, Node, NodeId, RunUntil, SimDuration, SimTime, TimerToken, Topology,
+    Context, Node, NodeId, RunUntil, SimCore, SimDuration, SimTime, TimerToken, Topology,
 };
 
 const CLIENT: NodeId = NodeId(0);
@@ -115,7 +115,7 @@ impl Node<Packet> for StaleReplayClient {
 fn expired_entries_are_not_resurrected_by_the_rehunt() {
     let plan = AddressPlan::default();
     let directory = wired_directory(&plan);
-    let mut net: Network<Packet> = Network::new(1, Topology::datacenter());
+    let mut net: SimCore<Packet> = SimCore::new(1, Topology::datacenter());
     net.add_node(StaleReplayClient {
         lb: LB,
         responses: 0,
@@ -199,7 +199,7 @@ impl Node<Packet> for QuiescentClient {
 fn live_flows_are_resurrected_and_then_expire_normally() {
     let plan = AddressPlan::default();
     let directory = wired_directory(&plan);
-    let mut net: Network<Packet> = Network::new(1, Topology::datacenter());
+    let mut net: SimCore<Packet> = SimCore::new(1, Topology::datacenter());
     net.add_node(QuiescentClient {
         lb: LB,
         responses: 0,

@@ -9,7 +9,7 @@ use srlb::core::{FlowState, LoadBalancerNode};
 use srlb::net::{AddressPlan, Packet, PacketBuilder, ServerId, TcpFlags};
 use srlb::server::server_node::encode_request_payload;
 use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
-use srlb::sim::{Context, Network, Node, NodeId, RunUntil, SimDuration, SimTime, Topology};
+use srlb::sim::{Context, Node, NodeId, RunUntil, SimCore, SimDuration, SimTime, Topology};
 
 /// A client that opens one connection at start-up and nothing else.
 #[derive(Debug)]
@@ -56,7 +56,7 @@ fn idle_flows_are_swept_from_the_flow_table() {
     directory.register(plan.vip(0), lb_id);
     directory.register(plan.server_addr(ServerId(0)), server_id);
 
-    let mut net: Network<Packet> = Network::new(1, Topology::datacenter());
+    let mut net: SimCore<Packet> = SimCore::new(1, Topology::datacenter());
     net.add_node(OneShotClient {
         lb: lb_id,
         responses: 0,

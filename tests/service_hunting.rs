@@ -11,7 +11,7 @@ use srlb::core::LoadBalancerNode;
 use srlb::net::{AddressPlan, Packet, PacketBuilder, ServerId, TcpFlags};
 use srlb::server::server_node::encode_request_payload;
 use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
-use srlb::sim::{Context, Network, Node, NodeId, RunUntil, SimDuration, Topology};
+use srlb::sim::{Context, Node, NodeId, RunUntil, SimCore, SimDuration, Topology};
 
 #[derive(Debug, Default)]
 struct ScriptedClient {
@@ -59,7 +59,7 @@ impl Node<Packet> for ScriptedClient {
 fn build(
     policy: PolicyConfig,
     candidates: usize,
-) -> (Network<Packet>, NodeId, NodeId, Vec<NodeId>) {
+) -> (SimCore<Packet>, NodeId, NodeId, Vec<NodeId>) {
     let plan = AddressPlan::default();
     let servers = 3u32;
     let client_id = NodeId(0);
@@ -74,7 +74,7 @@ fn build(
         directory.register(plan.server_addr(ServerId(i)), server_ids[i as usize]);
     }
 
-    let mut net: Network<Packet> = Network::new(3, Topology::datacenter());
+    let mut net: SimCore<Packet> = SimCore::new(3, Topology::datacenter());
     net.enable_trace(|p| p.to_string());
     let c = net.add_node(ScriptedClient {
         lb: Some(lb_id),

@@ -203,6 +203,7 @@ fn run_spec_command(operands: &[&str], scale: Scale) {
         "# SRLB spec runner (spec: {}, scale: {scale:?})",
         path.display()
     );
+    let start = std::time::Instant::now(); // srlb-lint: allow(ambient-time) -- host wall time is a stderr diagnostic; it never reaches stdout or the report
     let report = match srlb_bench::run_spec_file(path, scale) {
         Ok(report) => report,
         Err(err) => {
@@ -210,6 +211,14 @@ fn run_spec_command(operands: &[&str], scale: Scale) {
             std::process::exit(1);
         }
     };
+    let wall_s = start.elapsed().as_secs_f64();
+    // Host diagnostics go to stderr only: stdout and the report JSON are
+    // byte-diffed across hosts and execution modes.
+    eprintln!(
+        "# host: wall {wall_s:.3} s, {:.0} events/s, peak RSS {}",
+        report.events_processed as f64 / wall_s,
+        peak_rss_mb().map_or("n/a".to_string(), |mb| format!("{mb:.1} MB")),
+    );
     println!(
         "{:<22} {:<12} {:>7} {:>7} {:>7} {:>9} {:>9} {:>9}",
         "spec", "policy", "sent", "done", "resets", "mean-ms", "p99-ms", "dur-s"
@@ -250,6 +259,15 @@ fn run_spec_command(operands: &[&str], scale: Scale) {
         Ok(path) => println!("  -> wrote {}", path.display()),
         Err(err) => eprintln!("  !! could not write report: {err}"),
     }
+}
+
+/// The process's peak resident set size in MB (`VmHWM` in
+/// `/proc/self/status`), or `None` where that file is absent.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 /// `figures -- write-specs [dir]`: regenerate the canonical example specs

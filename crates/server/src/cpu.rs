@@ -114,9 +114,13 @@ impl ProcessorSharingCpu {
     }
 
     /// Advances to `now` and removes every job whose remaining work has
-    /// dropped to (approximately) zero, returning their ids sorted
-    /// ascending for determinism.
-    pub fn take_completed(&mut self, now: SimTime) -> Vec<u64> {
+    /// dropped to (approximately) zero, replacing the contents of `done`
+    /// with their ids sorted ascending for determinism.
+    ///
+    /// The caller owns `done` and reuses it across calls, so a completion
+    /// sweep allocates nothing once the buffer has grown to the peak number
+    /// of simultaneous completions.
+    pub fn take_completed(&mut self, now: SimTime, done: &mut Vec<u64>) {
         self.progress_to(now);
         // One microsecond of dedicated-core work: far below any meaningful
         // request cost, far above the sub-nanosecond error introduced by
@@ -124,18 +128,16 @@ impl ProcessorSharingCpu {
         // are always detected by the timer scheduled from
         // [`ProcessorSharingCpu::next_completion`].
         const EPSILON: f64 = 1e-6;
-        // BTreeMap iteration is id-ordered, so the returned list is sorted
-        // ascending by construction.
-        let done: Vec<u64> = self
-            .remaining
-            .iter()
-            .filter(|(_, &w)| w <= EPSILON)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &done {
-            self.remaining.remove(id);
-        }
-        done
+        done.clear();
+        // `BTreeMap::retain` visits ids in ascending order, so `done` is
+        // sorted by construction.
+        self.remaining.retain(|&id, &mut work| {
+            let finished = work <= EPSILON;
+            if finished {
+                done.push(id);
+            }
+            !finished
+        });
     }
 
     /// The absolute time at which the next job will complete if no further
@@ -162,6 +164,12 @@ mod tests {
         SimTime::from_nanos(ms * 1_000_000)
     }
 
+    fn take(cpu: &mut ProcessorSharingCpu, now: SimTime) -> Vec<u64> {
+        let mut done = vec![u64::MAX]; // stale contents must be replaced
+        cpu.take_completed(now, &mut done);
+        done
+    }
+
     #[test]
     fn single_job_on_idle_cpu_runs_at_full_speed() {
         let mut cpu = ProcessorSharingCpu::new(2);
@@ -170,8 +178,8 @@ mod tests {
         assert_eq!(cpu.job_count(), 1);
         assert_eq!(cpu.rate(), 1.0);
         assert_eq!(cpu.next_completion(t(0)), Some(t(100)));
-        assert!(cpu.take_completed(t(99)).is_empty());
-        assert_eq!(cpu.take_completed(t(100)), vec![1]);
+        assert!(take(&mut cpu, t(99)).is_empty());
+        assert_eq!(take(&mut cpu, t(100)), vec![1]);
         assert!(cpu.is_idle());
     }
 
@@ -184,7 +192,7 @@ mod tests {
         }
         assert_eq!(cpu.rate(), 0.5);
         assert_eq!(cpu.next_completion(t(0)), Some(t(200)));
-        let done = cpu.take_completed(t(200));
+        let done = take(&mut cpu, t(200));
         assert_eq!(done, vec![0, 1, 2, 3]);
     }
 
@@ -195,9 +203,9 @@ mod tests {
         cpu.add_job(1, SimDuration::from_millis(80), t(0));
         assert_eq!(cpu.rate(), 1.0);
         assert_eq!(cpu.next_completion(t(0)), Some(t(50)));
-        assert_eq!(cpu.take_completed(t(50)), vec![0]);
+        assert_eq!(take(&mut cpu, t(50)), vec![0]);
         assert_eq!(cpu.next_completion(t(50)), Some(t(80)));
-        assert_eq!(cpu.take_completed(t(80)), vec![1]);
+        assert_eq!(take(&mut cpu, t(80)), vec![1]);
     }
 
     #[test]
@@ -209,10 +217,10 @@ mod tests {
         cpu.add_job(1, SimDuration::from_millis(100), t(50));
         assert_eq!(cpu.rate(), 0.5);
         assert_eq!(cpu.next_completion(t(50)), Some(t(150)));
-        assert_eq!(cpu.take_completed(t(150)), vec![0]);
+        assert_eq!(take(&mut cpu, t(150)), vec![0]);
         // Job 1 then has 50 ms left at full speed.
         assert_eq!(cpu.next_completion(t(150)), Some(t(200)));
-        assert_eq!(cpu.take_completed(t(200)), vec![1]);
+        assert_eq!(take(&mut cpu, t(200)), vec![1]);
     }
 
     #[test]
@@ -241,7 +249,7 @@ mod tests {
         let mut completions = Vec::new();
         while let Some(next) = cpu.next_completion(now) {
             now = next;
-            for id in cpu.take_completed(now) {
+            for id in take(&mut cpu, now) {
                 completions.push((id, now.as_secs_f64()));
             }
         }
@@ -266,7 +274,7 @@ mod tests {
         // With two cores both now run at full speed: done 50 ms later.
         assert_eq!(cpu.rate(), 1.0);
         assert_eq!(cpu.next_completion(t(100)), Some(t(150)));
-        assert_eq!(cpu.take_completed(t(150)), vec![0, 1]);
+        assert_eq!(take(&mut cpu, t(150)), vec![0, 1]);
     }
 
     #[test]

@@ -20,15 +20,16 @@
 //!    the backlog, and if the backlog is full the connection is **reset**
 //!    (`tcp_abort_on_overflow`),
 //! 5. when service completes the server sends the **response** directly to
-//!    the client and pulls the next request from the backlog.
+//!    the client and pulls the next request from the backlog; the completed
+//!    connection then lingers for [`TIME_WAIT`] to answer retransmissions.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv6Addr;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use srlb_net::{FlowKey, Packet, PacketBuilder, TcpFlags};
+use srlb_net::{FlowKey, Packet, PacketBuilder, PassthroughHashBuilder, TcpFlags};
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 
 use crate::agent::ApplicationAgent;
@@ -38,6 +39,18 @@ use crate::directory::Directory;
 use crate::policy::PolicyConfig;
 use crate::vrouter::{RouterAction, VirtualRouter};
 use crate::worker::{WorkerId, WorkerPool};
+
+/// How long a completed connection's state lingers for response replay:
+/// Linux's `TCP_TIMEWAIT_LEN` (60 s), the time the paper's Apache backends
+/// hold a closed connection as a TIME_WAIT socket.
+///
+/// It dwarfs every retransmission span a recovery policy produces (the
+/// default 200 ms × 2ⁱ backoff with 5 retries and 10% jitter gives up
+/// within ≈13.9 s of the first send), so a reaped connection can no longer
+/// be asked to replay its response.  A retransmission that does arrive
+/// later finds no connection and is served as a fresh request, as a real
+/// TCP stack would after TIME_WAIT.
+pub const TIME_WAIT: SimDuration = SimDuration::from_secs(60);
 
 /// Static configuration of one backend server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -147,30 +160,27 @@ impl ServerStats {
     }
 }
 
-/// Per-flow connection state.
+/// Per-flow connection state: `None` while the connection is live, then
+/// the id of the request it completed once the response has been sent.
+/// Responses go to the flow's client address (direct server return).
 ///
-/// An entry is created when the hunted SYN is accepted and lives until the
-/// peer closes (RST/FIN) — **including after the response was sent**: the
+/// An entry is created when the hunted SYN is accepted and is dropped when
+/// the peer closes (RST/FIN) or, once completed, after [`TIME_WAIT`]: the
 /// completed request's id is retained so a retransmitted request whose
 /// response was lost on the way back is answered from this state instead of
 /// being re-served (or, after a load-balancer failover wiped the flow
-/// table, orphaned as unrecoverable).  Flows are never reused within a run
-/// (each request gets a unique client `(address, port)` pair), so a
-/// retained entry can only ever match its own request's retransmissions.
-#[derive(Debug, Clone, Copy)]
-struct Connection {
-    /// The client's address (responses go here, direct server return).
-    client: Ipv6Addr,
-    /// Id of the request this connection completed, once the response has
-    /// been sent.
-    completed: Option<u64>,
-}
+/// table, orphaned as unrecoverable).  Past TIME_WAIT the flow is unknown
+/// again: a late retransmission is served fresh and a re-hunted packet is
+/// forwarded or orphaned like any unknown flow's.  Flows are never reused
+/// within a run (each request gets a unique client `(address, port)` pair),
+/// so a retained entry can only ever match its own request's
+/// retransmissions.
+type Connection = Option<u64>;
 
 /// A request waiting in the backlog for a worker thread.
 #[derive(Debug, Clone)]
 struct PendingJob {
     flow: FlowKey,
-    client: Ipv6Addr,
     request_id: u64,
     service: SimDuration,
 }
@@ -180,7 +190,6 @@ struct PendingJob {
 struct RunningJob {
     worker: WorkerId,
     flow: FlowKey,
-    client: Ipv6Addr,
     request_id: u64,
 }
 
@@ -272,8 +281,13 @@ pub struct ServerNode {
     pool: WorkerPool,
     cpu: ProcessorSharingCpu,
     backlog: Backlog<PendingJob>,
-    connections: HashMap<FlowKey, Connection>,
+    connections: HashMap<FlowKey, Connection, PassthroughHashBuilder>,
+    /// Completed connections as `(completion time, flow, request id)` in
+    /// completion order, reaped from `connections` once [`TIME_WAIT`] old.
+    time_wait: VecDeque<(SimTime, FlowKey, u64)>,
     running: HashMap<u64, RunningJob>,
+    /// Reused buffer for the job tokens of one CPU completion sweep.
+    finished: Vec<u64>,
     next_job_token: u64,
     /// Generation counter for the single CPU completion timer: any timer
     /// whose token does not match the current generation is stale and
@@ -299,8 +313,10 @@ impl ServerNode {
             pool,
             cpu,
             backlog,
-            connections: HashMap::new(),
+            connections: HashMap::with_hasher(PassthroughHashBuilder),
+            time_wait: VecDeque::new(),
             running: HashMap::new(),
+            finished: Vec::new(),
             next_job_token: 0,
             cpu_timer_generation: 0,
             stats: ServerStats::default(),
@@ -410,6 +426,26 @@ impl ServerNode {
         }
     }
 
+    /// Drops the completed connections whose TIME_WAIT has run out by `now`.
+    ///
+    /// Lazy: it runs at the start of every callback and schedules nothing,
+    /// so the event sequence is the same as if the state lingered forever.
+    /// An entry that was re-accepted or closed (RST/FIN) since it completed
+    /// no longer records that completion and is left alone.  (One that was
+    /// re-accepted *and* completed the same request again goes with its
+    /// first completion, still long after any retransmission of it.)
+    fn reap_time_wait(&mut self, now: SimTime) {
+        while let Some(&(completed_at, flow, request_id)) = self.time_wait.front() {
+            if now.duration_since(completed_at) < TIME_WAIT {
+                break;
+            }
+            self.time_wait.pop_front();
+            if self.connections.get(&flow) == Some(&Some(request_id)) {
+                self.connections.remove(&flow);
+            }
+        }
+    }
+
     /// Handles a hunted SYN delivered locally: the connection is established
     /// on this server and the SYN-ACK (with the acceptance SRH) is sent back
     /// through the load balancer.
@@ -417,13 +453,7 @@ impl ServerNode {
         let flow = packet.flow_key_forward();
         let client = flow.client();
         let vip = flow.vip();
-        self.connections.insert(
-            flow,
-            Connection {
-                client,
-                completed: None,
-            },
-        );
+        self.connections.insert(flow, None);
 
         let srh = self
             .router
@@ -448,19 +478,16 @@ impl ServerNode {
         let Some((request_id, service)) = decode_request_payload(&packet.payload) else {
             return; // bare ACK / FIN of the handshake: nothing to do
         };
-        let connection = self.connections.get(&flow).copied();
         // A retransmitted request for an already-completed connection means
         // the response was lost on the way back: replay it from connection
         // state instead of re-serving the job.
-        if let Some(done) = connection.and_then(|c| c.completed) {
+        if let Some(&Some(done)) = self.connections.get(&flow) {
             if done == request_id {
                 self.stats.responses_replayed += 1;
-                let client = connection.map_or(flow.client(), |c| c.client);
-                self.send_response(&flow, client, request_id, ctx);
+                self.send_response(&flow, request_id, ctx);
             }
             return;
         }
-        let client = connection.map_or(flow.client(), |c| c.client);
         // Duplicate-segment suppression: a retransmitted request whose
         // original is already running or backlogged (a spurious client
         // timeout, or a drop between here and the client while the job is
@@ -483,7 +510,6 @@ impl ServerNode {
         }
         let job = PendingJob {
             flow,
-            client,
             request_id,
             service,
         };
@@ -496,11 +522,12 @@ impl ServerNode {
                     // tcp_abort_on_overflow: reset the connection.
                     self.stats.resets += 1;
                     self.connections.remove(&job.flow);
-                    let rst = PacketBuilder::tcp(job.flow.vip(), job.client)
+                    let client = job.flow.client();
+                    let rst = PacketBuilder::tcp(job.flow.vip(), client)
                         .ports(job.flow.vip_port(), job.flow.client_port())
                         .flags(TcpFlags::RST)
                         .build();
-                    self.send_to_addr(ctx, job.client, rst);
+                    self.send_to_addr(ctx, client, rst);
                 }
             }
         } else {
@@ -526,7 +553,6 @@ impl ServerNode {
             RunningJob {
                 worker,
                 flow: job.flow,
-                client: job.client,
                 request_id: job.request_id,
             },
         );
@@ -534,23 +560,21 @@ impl ServerNode {
 
     /// Completes one finished job: frees its worker thread, sends the
     /// response to the client, and admits the next backlogged request if any.
+    ///
+    /// The connection lingers with the completed request id recorded, so a
+    /// retransmission of the request (lost response) is answered from
+    /// state.  The entry is dropped when the peer closes (RST/FIN) or after
+    /// [`TIME_WAIT`], whichever comes first; see [`Connection`].
     fn complete_job(&mut self, token: u64, ctx: &mut Context<'_, Packet>) {
         let Some(job) = self.running.remove(&token) else {
             return;
         };
         self.pool.release(job.worker);
         self.stats.completed += 1;
-        // The connection lingers with the completed request id recorded, so
-        // a retransmission of the request (lost response) can be answered
-        // from state; the entry is dropped when the peer closes (RST/FIN).
-        self.connections.insert(
-            job.flow,
-            Connection {
-                client: job.client,
-                completed: Some(job.request_id),
-            },
-        );
-        self.send_response(&job.flow, job.client, job.request_id, ctx);
+        self.connections.insert(job.flow, Some(job.request_id));
+        self.time_wait
+            .push_back((ctx.now(), job.flow, job.request_id));
+        self.send_response(&job.flow, job.request_id, ctx);
 
         // Pull the next waiting request onto the freed worker thread.
         if let Some(next) = self.backlog.pop() {
@@ -561,13 +585,8 @@ impl ServerNode {
     /// Sends the response for `request_id` directly to the client (direct
     /// server return); the payload names this server so completions are
     /// attributable.
-    fn send_response(
-        &self,
-        flow: &FlowKey,
-        client: Ipv6Addr,
-        request_id: u64,
-        ctx: &mut Context<'_, Packet>,
-    ) {
+    fn send_response(&self, flow: &FlowKey, request_id: u64, ctx: &mut Context<'_, Packet>) {
+        let client = flow.client();
         let response = PacketBuilder::tcp(flow.vip(), client)
             .ports(flow.vip_port(), flow.client_port())
             .flags(TcpFlags::PSH | TcpFlags::ACK)
@@ -591,7 +610,8 @@ impl ServerNode {
     /// * the connection completed and only lingers for response replay — a
     ///   retransmission of the completed request is answered from state,
     ///   anything else falls through as if the flow were unknown (a dead
-    ///   flow must not be resurrected into the flow table),
+    ///   flow must not be resurrected into the flow table); after
+    ///   [`TIME_WAIT`] the connection is gone and the flow *is* unknown,
     /// * another candidate may own it — forward along the SR list,
     /// * last candidate and nobody owned it — the connection is
     ///   unrecoverable: reset it so the client learns immediately.
@@ -599,7 +619,7 @@ impl ServerNode {
         let flow = packet.flow_key_forward();
         let segments_left = packet.srh.as_ref().map_or(0, |s| s.segments_left());
         match self.connections.get(&flow).copied() {
-            Some(conn) if conn.completed.is_none() => {
+            Some(None) => {
                 if packet.set_segments_left(0).is_err() {
                     return;
                 }
@@ -608,15 +628,15 @@ impl ServerNode {
                 self.deliver_established(packet, ctx);
                 return;
             }
-            Some(conn) => {
+            Some(Some(done)) => {
                 // The connection completed and lingers only to answer
                 // retransmissions: replay a matching request, but never
                 // advert ownership — the flow is dead, and a re-hunt must
                 // not re-install it in the load balancer's table.
                 if let Some((request_id, _)) = decode_request_payload(&packet.payload) {
-                    if conn.completed == Some(request_id) {
+                    if done == request_id {
                         self.stats.responses_replayed += 1;
-                        self.send_response(&flow, conn.client, request_id, ctx);
+                        self.send_response(&flow, request_id, ctx);
                         return;
                     }
                 }
@@ -671,6 +691,7 @@ impl ServerNode {
 
 impl Node<Packet> for ServerNode {
     fn on_message(&mut self, packet: Packet, _from: NodeId, ctx: &mut Context<'_, Packet>) {
+        self.reap_time_wait(ctx.now());
         // A non-SYN packet whose SRH leads with a *foreign* first segment is
         // a re-hunt (flow-table reconstruction after load-balancer
         // failover): the load balancer marks re-hunt routes with itself as
@@ -714,13 +735,16 @@ impl Node<Packet> for ServerNode {
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Packet>) {
+        self.reap_time_wait(ctx.now());
         if token.0 != self.cpu_timer_generation {
             return; // stale wake-up from before the last CPU change
         }
-        let finished = self.cpu.take_completed(ctx.now());
-        for job_token in finished {
+        let mut finished = std::mem::take(&mut self.finished);
+        self.cpu.take_completed(ctx.now(), &mut finished);
+        for &job_token in &finished {
             self.complete_job(job_token, ctx);
         }
+        self.finished = finished;
         self.record_load(ctx.now());
         self.reschedule_cpu_timer(ctx);
     }
@@ -733,6 +757,290 @@ impl Node<Packet> for ServerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srlb_net::SegmentRoutingHeader;
+    use srlb_sim::{RunUntil, SimCore, Topology};
+
+    const LB: Ipv6Addr = Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, 1);
+    const SERVER: Ipv6Addr = Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, 2);
+    const OTHER: Ipv6Addr = Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, 3);
+    const VIP: Ipv6Addr = Ipv6Addr::new(0xfd00, 1, 0, 0, 0, 0, 0, 0x80);
+    const CLIENT: Ipv6Addr = Ipv6Addr::new(0xfd00, 2, 0, 0, 0, 0, 0, 1);
+    const SERVICE_MS: u64 = 10;
+
+    fn ms(millis: u64) -> SimTime {
+        SimTime::from_nanos(millis * 1_000_000)
+    }
+
+    /// One-way latency between the server and the peer.
+    fn latency() -> SimDuration {
+        Topology::datacenter().default_latency()
+    }
+
+    /// Plays the client, the load balancer and a second candidate server at
+    /// once: sends its scripted packets to the server at fixed times and
+    /// records every packet it receives.
+    #[derive(Debug)]
+    struct Peer {
+        server: NodeId,
+        script: Vec<(SimTime, Packet)>,
+        received: Vec<(SimTime, Packet)>,
+    }
+
+    impl Node<Packet> for Peer {
+        fn on_start(&mut self, ctx: &mut Context<'_, Packet>) {
+            for (i, (at, _)) in self.script.iter().enumerate() {
+                ctx.schedule_timer(at.duration_since(ctx.now()), TimerToken(i as u64));
+            }
+        }
+
+        fn on_message(&mut self, packet: Packet, _from: NodeId, ctx: &mut Context<'_, Packet>) {
+            self.received.push((ctx.now(), packet));
+        }
+
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Packet>) {
+            let packet = self.script[token.0 as usize].1.clone();
+            ctx.send(self.server, packet);
+        }
+    }
+
+    impl Peer {
+        /// `(arrival time, request id)` of every response received.
+        fn responses(&self) -> Vec<(SimTime, u64)> {
+            self.received
+                .iter()
+                .filter(|(_, p)| p.tcp.flags.contains(TcpFlags::PSH))
+                .filter_map(|(at, p)| decode_response_payload(&p.payload).map(|(id, _)| (*at, id)))
+                .collect()
+        }
+    }
+
+    /// A SYN hunted to the server as the last candidate (forced accept).
+    fn syn(port: u16) -> Packet {
+        PacketBuilder::tcp(CLIENT, VIP)
+            .ports(port, 80)
+            .flags(TcpFlags::SYN)
+            .segment_routing(SegmentRoutingHeader::from_route(&[SERVER, VIP]).unwrap())
+            .build()
+    }
+
+    fn request_builder(port: u16, request_id: u64) -> PacketBuilder {
+        PacketBuilder::tcp(CLIENT, VIP)
+            .ports(port, 80)
+            .flags(TcpFlags::ACK | TcpFlags::PSH)
+            .payload(encode_request_payload(
+                request_id,
+                SimDuration::from_millis(SERVICE_MS),
+            ))
+    }
+
+    /// A request steered to the server by the load balancer's flow table.
+    fn request(port: u16, request_id: u64) -> Packet {
+        request_builder(port, request_id)
+            .segment_routing(SegmentRoutingHeader::from_route(&[SERVER, VIP]).unwrap())
+            .build()
+    }
+
+    /// A request re-hunted by a load balancer that lost the flow: the route
+    /// is `[lb, candidates…, VIP]` with the load balancer consumed.
+    fn rehunted_request(port: u16, request_id: u64, candidates: &[Ipv6Addr]) -> Packet {
+        let mut route = vec![LB];
+        route.extend_from_slice(candidates);
+        route.push(VIP);
+        let mut srh = SegmentRoutingHeader::from_route(&route).unwrap();
+        srh.set_segments_left(candidates.len() as u8).unwrap();
+        request_builder(port, request_id)
+            .segment_routing(srh)
+            .build()
+    }
+
+    /// A server and a [`Peer`] on the data-centre topology; returns the core
+    /// and the `(server, peer)` node ids.
+    fn harness(script: Vec<(SimTime, Packet)>) -> (SimCore<Packet>, NodeId, NodeId) {
+        let mut core: SimCore<Packet> = SimCore::new(1, Topology::datacenter());
+        let server = NodeId(0);
+        let peer = NodeId(1);
+        let mut directory = Directory::new();
+        directory.register(SERVER, server);
+        for addr in [LB, VIP, CLIENT, OTHER] {
+            directory.register(addr, peer);
+        }
+        let config = ServerConfig::paper(0, SERVER, LB, PolicyConfig::Static { threshold: 4 });
+        assert_eq!(core.add_node(ServerNode::new(config, directory)), server);
+        let peer_node = Peer {
+            server,
+            script,
+            received: Vec::new(),
+        };
+        assert_eq!(core.add_node(peer_node), peer);
+        (core, server, peer)
+    }
+
+    fn run(script: Vec<(SimTime, Packet)>) -> (ServerNode, Peer) {
+        let (mut core, server, peer) = harness(script);
+        core.run_until(RunUntil::Drained);
+        (
+            core.take_node(server).unwrap(),
+            core.take_node(peer).unwrap(),
+        )
+    }
+
+    /// The one connection of [`connect_and_request`] completes here: the
+    /// request reaches the server one latency after 1 ms and runs alone on
+    /// an idle CPU.
+    fn first_completion() -> SimTime {
+        ms(1) + latency() + SimDuration::from_millis(SERVICE_MS)
+    }
+
+    fn connect_and_request(port: u16, request_id: u64) -> Vec<(SimTime, Packet)> {
+        vec![(ms(0), syn(port)), (ms(1), request(port, request_id))]
+    }
+
+    #[test]
+    fn retransmission_inside_time_wait_is_replayed() {
+        let mut script = connect_and_request(1000, 7);
+        // Arrives 1 µs before the connection's TIME_WAIT runs out.
+        let arrival = first_completion() + (TIME_WAIT - SimDuration::from_micros(1));
+        script.push((arrival.checked_sub(latency()).unwrap(), request(1000, 7)));
+        let (server, peer) = run(script);
+        let stats = server.stats();
+        assert_eq!(stats.completed, 1, "the job is not served again");
+        assert_eq!(stats.served_immediately, 1);
+        assert_eq!(stats.responses_replayed, 1);
+        let responses = peer.responses();
+        assert_eq!(responses.len(), 2);
+        assert_eq!(responses[0], (first_completion() + latency(), 7));
+        assert_eq!(responses[1], (arrival + latency(), 7));
+        assert_eq!(
+            server.connections.get(&syn(1000).flow_key_forward()),
+            Some(&Some(7))
+        );
+    }
+
+    #[test]
+    fn retransmission_after_time_wait_is_served_fresh() {
+        let mut script = connect_and_request(1000, 7);
+        // Arrives exactly when the connection's TIME_WAIT runs out.
+        let arrival = first_completion() + TIME_WAIT;
+        script.push((arrival.checked_sub(latency()).unwrap(), request(1000, 7)));
+        let (server, peer) = run(script);
+        let stats = server.stats();
+        assert_eq!(stats.responses_replayed, 0);
+        assert_eq!(stats.duplicates_ignored, 0);
+        assert_eq!(stats.served_immediately, 2, "served as a fresh request");
+        assert_eq!(stats.completed, 2);
+        let responses = peer.responses();
+        assert_eq!(responses.len(), 2);
+        assert_eq!(responses[0], (first_completion() + latency(), 7));
+        let fresh = arrival + SimDuration::from_millis(SERVICE_MS) + latency();
+        assert_eq!(responses[1], (fresh, 7));
+        // The fresh service lingers again, for a TIME_WAIT of its own.
+        assert_eq!(
+            server.connections.get(&syn(1000).flow_key_forward()),
+            Some(&Some(7))
+        );
+        assert_eq!(server.time_wait.len(), 1);
+    }
+
+    #[test]
+    fn reaping_leaves_a_reaccepted_connection_alone() {
+        let mut script = connect_and_request(1000, 7);
+        script.extend([
+            // A duplicate SYN re-accepts the completed flow …
+            (ms(30_000), syn(1000)),
+            // … so when its first completion's TIME_WAIT runs out (reaped
+            // at this unrelated arrival) the live entry stays.
+            (ms(61_000), syn(1001)),
+        ]);
+        let (server, _) = run(script);
+        assert_eq!(
+            server.connections.get(&syn(1000).flow_key_forward()),
+            Some(&None)
+        );
+        assert_eq!(server.connections.len(), 2);
+        assert!(server.time_wait.is_empty());
+    }
+
+    #[test]
+    fn rehunt_for_reaped_flow_is_forwarded_or_orphaned_like_an_unknown_flow() {
+        let mut script = connect_and_request(1000, 7);
+        script.extend([(ms(2), syn(1001)), (ms(3), request(1001, 8))]);
+        script.extend([
+            // Inside TIME_WAIT a re-hunted retransmission is replayed …
+            (ms(30_000), rehunted_request(1000, 7, &[SERVER])),
+            // … after it, flow 1000 is forwarded to the next candidate and
+            // flow 1001, with no candidate left, is orphaned.
+            (ms(90_000), rehunted_request(1000, 7, &[SERVER, OTHER])),
+            (ms(90_001), rehunted_request(1001, 8, &[SERVER])),
+            // A flow the server never saw meets the same fate.
+            (ms(90_002), rehunted_request(2000, 9, &[SERVER, OTHER])),
+            (ms(90_003), rehunted_request(2001, 10, &[SERVER])),
+        ]);
+        let (server, peer) = run(script);
+        let stats = server.stats();
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.responses_replayed, 1);
+        assert_eq!(stats.orphaned, 2);
+        assert_eq!(stats.ownership_adverts, 0);
+        let forwarded: Vec<u16> = peer
+            .received
+            .iter()
+            .filter(|(_, p)| p.current_destination() == OTHER)
+            .map(|(_, p)| p.flow_key_forward().client_port())
+            .collect();
+        assert_eq!(forwarded, vec![1000, 2000]);
+        let resets: Vec<u16> = peer
+            .received
+            .iter()
+            .filter(|(_, p)| p.is_rst())
+            .map(|(_, p)| p.tcp.destination_port)
+            .collect();
+        assert_eq!(resets, vec![1001, 2001]);
+        assert!(server.connections.is_empty());
+        assert!(server.time_wait.is_empty());
+    }
+
+    #[test]
+    fn connection_table_is_bounded_by_time_wait() {
+        // A new connection every 500 ms for 3 × TIME_WAIT; each request
+        // arrives 100 ms after its SYN and completes 10 ms later.
+        const PERIOD_MS: u64 = 500;
+        let count = 3 * 60_000 / PERIOD_MS;
+        let script: Vec<(SimTime, Packet)> = (0..count)
+            .flat_map(|i| {
+                let port = 1000 + i as u16;
+                [
+                    (ms(i * PERIOD_MS), syn(port)),
+                    (ms(i * PERIOD_MS + 100), request(port, i)),
+                ]
+            })
+            .collect();
+        let (mut core, server_id, _) = harness(script);
+        // TIME_WAIT spans this many completion periods.  Just after request
+        // `j` arrives (its own connection live), the connections completed
+        // in the TIME_WAIT before that arrival are `j - 120 ..= j - 1`; just
+        // after it completes (a CPU timer, no message), they are
+        // `j - 119 ..= j`, since `j - 120` completed exactly TIME_WAIT ago.
+        let window = 60_000 / PERIOD_MS;
+        for j in 0..count {
+            core.run_until(RunUntil::Time(ms(j * PERIOD_MS + 101)));
+            let server = core.node_as::<ServerNode>(server_id).unwrap();
+            assert_eq!(server.stats().completed, j);
+            let lingering = j.min(window) as usize;
+            assert_eq!(server.connections.len(), lingering + 1, "arrival {j}");
+            assert_eq!(server.time_wait.len(), lingering, "arrival {j}");
+
+            core.run_until(RunUntil::Time(ms(j * PERIOD_MS + 120)));
+            let server = core.node_as::<ServerNode>(server_id).unwrap();
+            assert_eq!(server.stats().completed, j + 1);
+            let lingering = (j + 1).min(window) as usize;
+            assert_eq!(server.connections.len(), lingering, "completion {j}");
+            assert_eq!(server.time_wait.len(), lingering, "completion {j}");
+        }
+        core.run_until(RunUntil::Drained);
+        let server = core.node_as::<ServerNode>(server_id).unwrap();
+        assert_eq!(server.stats().completed, count);
+        assert_eq!(server.stats().responses_replayed, 0);
+    }
 
     #[test]
     fn payload_roundtrip() {

@@ -28,10 +28,12 @@ proptest! {
         }
         let mut now = t_ms(0);
         let mut completed = 0usize;
+        let mut done = Vec::new();
         let mut guard = 0;
         while let Some(next) = cpu.next_completion(now) {
             now = next;
-            completed += cpu.take_completed(now).len();
+            cpu.take_completed(now, &mut done);
+            completed += done.len();
             guard += 1;
             prop_assert!(guard < 10_000, "completion loop did not converge");
         }

@@ -87,7 +87,7 @@ impl SimDuration {
     }
 
     /// Builds a duration from whole seconds.
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * 1_000_000_000)
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Every figure function takes a `jobs` worker count: the underlying
 //! `(policy, ρ)` / replay points are independent seeded simulations and run
-//! through [`parallel_map`](crate::parallel::parallel_map), which returns
+//! through [`parallel_map`], which returns
 //! results in input order — so output is byte-identical whatever the worker
 //! count, and `jobs = 1` is a fully serial run.
 

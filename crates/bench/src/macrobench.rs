@@ -126,7 +126,7 @@ fn flow_key(i: u64, vip: Ipv6Addr) -> FlowKey {
 }
 
 /// Runs the flow-scale section: `flows` distinct flows through
-/// [`INSTANCES`] bounded tables with total capacity `flows / 2`, plus two
+/// `INSTANCES` bounded tables with total capacity `flows / 2`, plus two
 /// churn passes that exercise the active- and idle-eviction causes.
 /// `timed` gates the wall-clock throughput fields.
 pub fn flow_scale(flows: usize, timed: bool) -> FlowScaleReport {

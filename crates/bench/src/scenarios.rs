@@ -17,7 +17,7 @@
 //! them.
 //!
 //! Every `(preset, dispatcher)` cell is an independent seeded simulation
-//! run through [`parallel_map`](crate::parallel::parallel_map), so the
+//! run through [`parallel_map`], so the
 //! output is byte-identical whatever the `--jobs` worker count.  Each run's
 //! [`RunOutcome`] is condensed into a [`ScenarioReport`].
 

@@ -20,8 +20,7 @@ use std::net::Ipv6Addr;
 
 use rand::RngCore;
 use srlb_metrics::{RequestClass, RequestOutcome, RequestRecord, ResponseTimeCollector};
-use srlb_net::{AddressPlan, Packet, PacketBuilder, RetransmitPolicy, TcpFlags};
-use srlb_server::server_node::encode_request_payload;
+use srlb_net::{AddressPlan, Packet, PacketBuilder, Payload, RetransmitPolicy, TcpFlags};
 use srlb_server::Directory;
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 use srlb_workload::{requests_into_stream, BoxedWorkload, Request};
@@ -322,7 +321,10 @@ impl ClientNode {
         PacketBuilder::tcp(addr, self.vip_of(id))
             .ports(port, VIP_PORT)
             .flags(TcpFlags::ACK | TcpFlags::PSH)
-            .payload(encode_request_payload(id, service))
+            .payload(Payload::Request {
+                id,
+                service_ns: service.as_nanos(),
+            })
             .build()
     }
 
@@ -526,8 +528,10 @@ impl Node<Packet> for ClientNode {
         } else if packet.tcp.flags.contains(TcpFlags::PSH) {
             // The response payload names the serving server, so completions
             // are attributable (per-phase fairness in scenario runs).
-            let served_by =
-                srlb_server::server_node::decode_response_payload(&packet.payload).map(|(_, s)| s);
+            let served_by = match packet.payload {
+                Payload::Response { server, .. } => Some(server),
+                _ => None,
+            };
             self.finish(id, RequestOutcome::Completed, served_by, ctx);
         }
     }

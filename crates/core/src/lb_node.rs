@@ -20,7 +20,7 @@ use std::net::Ipv6Addr;
 
 use serde::{Deserialize, Serialize};
 
-use srlb_net::{Packet, SegmentRoutingHeader};
+use srlb_net::{Packet, Payload, SegmentRoutingHeader};
 use srlb_server::Directory;
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 
@@ -377,8 +377,11 @@ impl LoadBalancerNode {
         self.stats.flows_learned += 1;
         // Acceptance SYN-ACKs and ownership adverts carry the server's load
         // hint; feed it to the dispatcher (a no-op for load-oblivious ones).
-        if let Some((busy, workers, backlog)) =
-            srlb_server::server_node::decode_load_hint(&packet.payload)
+        if let Payload::LoadHint {
+            busy,
+            workers,
+            backlog,
+        } = packet.payload
         {
             if workers > 0 {
                 let load = f64::from(busy + backlog) / f64::from(workers);
@@ -706,10 +709,10 @@ mod tests {
             let request = PacketBuilder::tcp(plan.client_addr(0), plan.vip(0))
                 .ports(self.port, 80)
                 .flags(TcpFlags::ACK | TcpFlags::PSH)
-                .payload(srlb_server::server_node::encode_request_payload(
-                    0,
-                    srlb_sim::SimDuration::from_millis(5),
-                ))
+                .payload(Payload::Request {
+                    id: 0,
+                    service_ns: srlb_sim::SimDuration::from_millis(5).as_nanos(),
+                })
                 .build();
             ctx.send(self.lb, request);
         }

@@ -778,8 +778,8 @@ pub struct FaultPlan {
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub slow_nodes: Vec<SlowNodeSpec>,
     /// End-to-end recovery policy.  `None` with faults present uses
-    /// [`RetransmitPolicy::default`]; on an empty plan no retransmission
-    /// machinery is enabled at all.
+    /// [`RetransmitPolicy::default`](srlb_net::RetransmitPolicy::default);
+    /// on an empty plan no retransmission machinery is enabled at all.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub recovery: Option<srlb_net::RetransmitPolicy>,
 }
@@ -881,11 +881,11 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Lowers the role-based plan to the simulator's [`FaultConfig`]
-    /// (`srlb_sim::FaultConfig`) under the runner's node layout.  Slow
-    /// nodes are not part of the delivery-path config — the runner folds
-    /// them into the topology before the network is built — and `recovery`
-    /// configures the client, not the network.
+    /// Lowers the role-based plan to the simulator's
+    /// [`FaultConfig`](srlb_sim::FaultConfig) under the runner's node
+    /// layout.  Slow nodes are not part of the delivery-path config — the
+    /// runner folds them into the topology before the network is built —
+    /// and `recovery` configures the client, not the network.
     pub fn to_fault_config(
         &self,
         client: srlb_sim::NodeId,

@@ -41,6 +41,9 @@ pub enum NetError {
     SegmentListTooLong(usize),
     /// An upper-layer protocol that this model does not understand.
     UnsupportedProtocol(u8),
+    /// A payload whose leading tag names no
+    /// [`Payload`](crate::packet::Payload) variant.
+    UnknownPayloadTag(u8),
     /// Attempted an SR endpoint operation on a packet without an SRH.
     MissingSegmentRoutingHeader,
     /// Attempted to advance an SRH whose `Segments Left` is already zero.
@@ -81,6 +84,7 @@ impl fmt::Display for NetError {
                 )
             }
             NetError::UnsupportedProtocol(p) => write!(f, "unsupported upper-layer protocol {p}"),
+            NetError::UnknownPayloadTag(t) => write!(f, "unknown payload tag {t}"),
             NetError::MissingSegmentRoutingHeader => {
                 write!(f, "packet carries no segment routing header")
             }
@@ -116,6 +120,7 @@ mod tests {
             NetError::EmptySegmentList,
             NetError::SegmentListTooLong(300),
             NetError::UnsupportedProtocol(132),
+            NetError::UnknownPayloadTag(9),
             NetError::MissingSegmentRoutingHeader,
             NetError::NoSegmentsLeft,
         ];

@@ -9,7 +9,8 @@
 //!   (RFC 8754), the mechanism behind *Service Hunting*,
 //! * [`TcpHeader`] / [`TcpFlags`] — enough of TCP to model connection
 //!   establishment (SYN / SYN-ACK / ACK / RST / FIN),
-//! * [`Packet`] — the composition of the above, with byte-accurate
+//! * [`Packet`] — the composition of the above plus a typed [`Payload`]
+//!   (request, response or server-load hint), with byte-accurate
 //!   encoding/decoding,
 //! * [`FlowKey`] — 5-tuple flow identification used by the load balancer's
 //!   flow table,
@@ -24,7 +25,7 @@
 //! ## Example
 //!
 //! ```
-//! use srlb_net::{AddressPlan, PacketBuilder, SegmentRoutingHeader, TcpFlags};
+//! use srlb_net::{AddressPlan, PacketBuilder, Payload, SegmentRoutingHeader, TcpFlags};
 //!
 //! # fn main() -> Result<(), srlb_net::NetError> {
 //! let plan = AddressPlan::default();
@@ -42,6 +43,16 @@
 //! let bytes = packet.encode();
 //! let decoded = srlb_net::Packet::decode(&bytes)?;
 //! assert_eq!(decoded, packet);
+//!
+//! // The accepting server answers with a SYN-ACK whose payload is its load
+//! // hint: a one-byte tag plus three big-endian `u32`s on the wire.
+//! let syn_ack = PacketBuilder::tcp(vip, client)
+//!     .ports(80, 49152)
+//!     .flags(TcpFlags::SYN_ACK)
+//!     .payload(Payload::LoadHint { busy: 5, workers: 32, backlog: 0 })
+//!     .build();
+//! assert_eq!(syn_ack.encode().len(), 40 + 20 + 13);
+//! assert_eq!(srlb_net::Packet::decode(&syn_ack.encode())?.payload, syn_ack.payload);
 //! # Ok(())
 //! # }
 //! ```
@@ -62,7 +73,7 @@ pub use addr::{AddressPlan, ServerId, Vip};
 pub use error::NetError;
 pub use flow::{mix64, FlowKey, PassthroughHashBuilder, PassthroughHasher, Protocol};
 pub use ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
-pub use packet::{Packet, PacketBuilder};
+pub use packet::{Packet, PacketBuilder, Payload};
 pub use srh::{SegmentRoutingHeader, MAX_SEGMENTS, SRH_FIXED_LEN};
 pub use tcp::{RetransmitPolicy, TcpFlags, TcpHeader, TCP_HEADER_LEN};
 

@@ -3,7 +3,6 @@
 use std::fmt;
 use std::net::Ipv6Addr;
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::error::NetError;
@@ -14,11 +13,13 @@ use crate::tcp::{TcpFlags, TcpHeader};
 use crate::Result;
 
 /// A structured IPv6/TCP packet, optionally carrying a Segment Routing
-/// header.
+/// header and a typed [`Payload`].
 ///
 /// The simulator passes packets around in this structured form;
 /// [`Packet::encode`] / [`Packet::decode`] provide the byte-accurate wire
-/// representation (validated by round-trip property tests).
+/// representation (validated by round-trip property tests).  The whole
+/// packet is plain data, so building, cloning and decoding one never
+/// touches the heap.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Packet {
     /// Fixed IPv6 header.
@@ -27,23 +28,159 @@ pub struct Packet {
     pub srh: Option<SegmentRoutingHeader>,
     /// TCP header.
     pub tcp: TcpHeader,
-    /// Application payload carried by the packet (zero-copy shared bytes).
-    #[serde(with = "bytes_serde")]
-    pub payload: Bytes,
+    /// Application payload carried by the packet.
+    pub payload: Payload,
 }
 
-mod bytes_serde {
-    //! Serde helpers so `Bytes` round-trips through serde as a byte vector.
-    use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serializer};
+/// The application payload of a [`Packet`]: the in-band messages of the
+/// experiments, as typed fields rather than hand-packed bytes.
+///
+/// On the wire (see [`Payload::encode_into`]) a payload is a one-byte tag
+/// followed by its fields in big-endian order; [`Payload::Empty`] is zero
+/// bytes, so payload-less packets encode exactly as bare TCP segments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Payload {
+    /// No payload: handshake, bare ACK, RST and FIN segments.
+    Empty,
+    /// A client request: its id and CPU service demand.  The demand stands
+    /// in for the PHP script / wiki page the paper's clients request, whose
+    /// cost the server only discovers by executing it.
+    Request {
+        /// Request id (the client's index of the request).
+        id: u64,
+        /// CPU service demand in nanoseconds.
+        service_ns: u64,
+    },
+    /// A server response: the request id plus the index of the server that
+    /// served it, so completions are attributable to servers.
+    Response {
+        /// Id of the request answered.
+        id: u64,
+        /// Index of the serving server in the cluster.
+        server: u32,
+    },
+    /// The server-load hint on acceptance SYN-ACKs and ownership adverts.
+    /// The load-aware dispatcher smooths `(busy + backlog) / workers` into
+    /// a per-server EWMA; every other reader ignores it.
+    LoadHint {
+        /// Busy worker threads.
+        busy: u32,
+        /// Configured worker threads.
+        workers: u32,
+        /// Current accept-backlog depth.
+        backlog: u32,
+    },
+}
 
-    pub fn serialize<S: Serializer>(bytes: &Bytes, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(bytes)
+const TAG_REQUEST: u8 = 1;
+const TAG_RESPONSE: u8 = 2;
+const TAG_LOAD_HINT: u8 = 3;
+
+impl Payload {
+    /// Length of the encoded payload in bytes (0 for [`Payload::Empty`]).
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Payload::Empty => 0,
+            Payload::Request { .. } => 17,
+            Payload::Response { .. } | Payload::LoadHint { .. } => 13,
+        }
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(deserializer: D) -> Result<Bytes, D::Error> {
-        let v = Vec::<u8>::deserialize(deserializer)?;
-        Ok(Bytes::from(v))
+    /// Appends the wire form to `out`: nothing for [`Payload::Empty`],
+    /// otherwise a one-byte tag (1 request, 2 response, 3 load hint) and the
+    /// fields in declaration order, big-endian.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match *self {
+            Payload::Empty => {}
+            Payload::Request { id, service_ns } => {
+                out.push(TAG_REQUEST);
+                out.extend_from_slice(&id.to_be_bytes());
+                out.extend_from_slice(&service_ns.to_be_bytes());
+            }
+            Payload::Response { id, server } => {
+                out.push(TAG_RESPONSE);
+                out.extend_from_slice(&id.to_be_bytes());
+                out.extend_from_slice(&server.to_be_bytes());
+            }
+            Payload::LoadHint {
+                busy,
+                workers,
+                backlog,
+            } => {
+                out.push(TAG_LOAD_HINT);
+                out.extend_from_slice(&busy.to_be_bytes());
+                out.extend_from_slice(&workers.to_be_bytes());
+                out.extend_from_slice(&backlog.to_be_bytes());
+            }
+        }
+    }
+
+    /// Decodes a payload that spans all of `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::UnknownPayloadTag`] for a tag outside 1–3,
+    /// [`NetError::Truncated`] if the fields are cut short, or
+    /// [`NetError::InvalidLength`] if bytes follow them.
+    pub fn decode(bytes: &[u8]) -> Result<Self> {
+        let Some(&tag) = bytes.first() else {
+            return Ok(Payload::Empty);
+        };
+        let len = match tag {
+            TAG_REQUEST => 17,
+            TAG_RESPONSE | TAG_LOAD_HINT => 13,
+            _ => return Err(NetError::UnknownPayloadTag(tag)),
+        };
+        if bytes.len() < len {
+            return Err(NetError::Truncated {
+                what: "payload",
+                needed: len,
+                available: bytes.len(),
+            });
+        }
+        if bytes.len() > len {
+            return Err(NetError::InvalidLength {
+                what: "payload",
+                detail: format!("{} bytes follow a {len}-byte payload", bytes.len() - len),
+            });
+        }
+        Ok(match tag {
+            TAG_REQUEST => Payload::Request {
+                id: u64::from_be_bytes(word(bytes, 1)),
+                service_ns: u64::from_be_bytes(word(bytes, 9)),
+            },
+            TAG_RESPONSE => Payload::Response {
+                id: u64::from_be_bytes(word(bytes, 1)),
+                server: u32::from_be_bytes(word(bytes, 9)),
+            },
+            _ => Payload::LoadHint {
+                busy: u32::from_be_bytes(word(bytes, 1)),
+                workers: u32::from_be_bytes(word(bytes, 5)),
+                backlog: u32::from_be_bytes(word(bytes, 9)),
+            },
+        })
+    }
+}
+
+/// The `N` bytes of `bytes` starting at `at` (the caller checked the length).
+fn word<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut word = [0; N];
+    word.copy_from_slice(&bytes[at..at + N]);
+    word
+}
+
+impl fmt::Display for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Payload::Empty => Ok(()),
+            Payload::Request { id, service_ns } => write!(f, "req#{id} {service_ns}ns"),
+            Payload::Response { id, server } => write!(f, "resp#{id} from s{server}"),
+            Payload::LoadHint {
+                busy,
+                workers,
+                backlog,
+            } => write!(f, "load {busy}/{workers}+{backlog}"),
+        }
     }
 }
 
@@ -190,7 +327,7 @@ impl Packet {
         IPV6_HEADER_LEN
             + self.srh.as_ref().map_or(0, |s| s.encoded_len())
             + crate::tcp::TCP_HEADER_LEN
-            + self.payload.len()
+            + self.payload.encoded_len()
     }
 
     /// Encodes the packet to its wire representation.
@@ -217,7 +354,7 @@ impl Packet {
             srh.encode_into(&mut out);
         }
         self.tcp.encode_into(&mut out);
-        out.extend_from_slice(&self.payload);
+        self.payload.encode_into(&mut out);
         out
     }
 
@@ -226,8 +363,8 @@ impl Packet {
     /// # Errors
     ///
     /// Returns a [`NetError`] for truncated input, a non-IPv6 version, an
-    /// unknown routing header type, or an upper-layer protocol other than
-    /// TCP.
+    /// unknown routing header type, an upper-layer protocol other than TCP,
+    /// or a malformed [`Payload`].
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let ipv6 = Ipv6Header::decode(bytes)?;
         let mut offset = IPV6_HEADER_LEN;
@@ -252,14 +389,7 @@ impl Packet {
         }
         let (tcp, consumed) = TcpHeader::decode(&bytes[offset..declared_end])?;
         offset += consumed;
-        // `Bytes::new()` is allocation-free, so decoding a payload-less
-        // packet (every SYN / SYN-ACK the load balancer handles) performs no
-        // heap allocation at all.
-        let payload = if offset == declared_end {
-            Bytes::new()
-        } else {
-            Bytes::copy_from_slice(&bytes[offset..declared_end])
-        };
+        let payload = Payload::decode(&bytes[offset..declared_end])?;
         Ok(Packet {
             ipv6,
             srh,
@@ -279,8 +409,8 @@ impl fmt::Display for Packet {
         if let Some(srh) = &self.srh {
             write!(f, " {srh}")?;
         }
-        if !self.payload.is_empty() {
-            write!(f, " +{}B", self.payload.len())?;
+        if self.payload != Payload::Empty {
+            write!(f, " {}", self.payload)?;
         }
         Ok(())
     }
@@ -291,14 +421,14 @@ impl fmt::Display for Packet {
 /// # Example
 ///
 /// ```
-/// use srlb_net::{PacketBuilder, TcpFlags};
+/// use srlb_net::{PacketBuilder, Payload, TcpFlags};
 ///
 /// let pkt = PacketBuilder::tcp("2001:db8::1".parse().unwrap(), "2001:db8::2".parse().unwrap())
 ///     .ports(49152, 80)
-///     .flags(TcpFlags::SYN)
-///     .payload(b"GET / HTTP/1.1".as_slice())
+///     .flags(TcpFlags::ACK | TcpFlags::PSH)
+///     .payload(Payload::Request { id: 7, service_ns: 25_000_000 })
 ///     .build();
-/// assert!(pkt.is_syn());
+/// assert_eq!(pkt.to_string(), "ACK|PSH [2001:db8::1] -> [2001:db8::2] req#7 25000000ns");
 /// ```
 #[derive(Debug, Clone)]
 pub struct PacketBuilder {
@@ -313,7 +443,7 @@ impl PacketBuilder {
                 ipv6: Ipv6Header::new(source, destination, NextHeader::Tcp),
                 srh: None,
                 tcp: TcpHeader::new(0, 0, TcpFlags::EMPTY),
-                payload: Bytes::new(),
+                payload: Payload::Empty,
             },
         }
     }
@@ -351,8 +481,8 @@ impl PacketBuilder {
     }
 
     /// Sets the payload.
-    pub fn payload(mut self, payload: impl Into<Bytes>) -> Self {
-        self.packet.payload = payload.into();
+    pub fn payload(mut self, payload: Payload) -> Self {
+        self.packet.payload = payload;
         self
     }
 
@@ -466,11 +596,76 @@ mod tests {
         let pkt = PacketBuilder::tcp(a(1), a(2))
             .ports(1234, 80)
             .flags(TcpFlags::ACK)
-            .payload(vec![1u8, 2, 3, 4, 5])
+            .payload(Payload::Response { id: 42, server: 7 })
             .build();
         let decoded = Packet::decode(&pkt.encode()).unwrap();
         assert_eq!(decoded, pkt);
-        assert_eq!(decoded.payload.as_ref(), &[1, 2, 3, 4, 5]);
+        assert_eq!(decoded.payload, Payload::Response { id: 42, server: 7 });
+    }
+
+    #[test]
+    fn payload_wire_form_is_a_tag_plus_big_endian_fields() {
+        let request = Payload::Request {
+            id: 0x0102,
+            service_ns: 0x0304,
+        };
+        let response = Payload::Response { id: 5, server: 6 };
+        let hint = Payload::LoadHint {
+            busy: 5,
+            workers: 32,
+            backlog: 17,
+        };
+        let cases: [(Payload, &[u8]); 4] = [
+            (Payload::Empty, &[]),
+            (
+                request,
+                &[1, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 3, 4],
+            ),
+            (response, &[2, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 6]),
+            (hint, &[3, 0, 0, 0, 5, 0, 0, 0, 32, 0, 0, 0, 17]),
+        ];
+        for (payload, wire) in cases {
+            let mut out = Vec::new();
+            payload.encode_into(&mut out);
+            assert_eq!(out, wire);
+            assert_eq!(payload.encoded_len(), wire.len());
+            assert_eq!(Payload::decode(wire), Ok(payload));
+        }
+    }
+
+    #[test]
+    fn malformed_payloads_are_errors_not_panics() {
+        let truncated = |needed, available| NetError::Truncated {
+            what: "payload",
+            needed,
+            available,
+        };
+        assert_eq!(Payload::decode(&[9]), Err(NetError::UnknownPayloadTag(9)));
+        assert_eq!(
+            Payload::decode(&[0, 1]),
+            Err(NetError::UnknownPayloadTag(0))
+        );
+        assert_eq!(Payload::decode(&[1; 16]), Err(truncated(17, 16)));
+        assert_eq!(Payload::decode(&[2, 0, 0]), Err(truncated(13, 3)));
+        assert!(matches!(
+            Payload::decode(&[3; 14]),
+            Err(NetError::InvalidLength { .. })
+        ));
+
+        // The same faults inside a whole packet surface from Packet::decode.
+        let pkt = PacketBuilder::tcp(a(1), a(2))
+            .payload(Payload::Response { id: 1, server: 2 })
+            .build();
+        let mut bytes = pkt.encode();
+        let tag_at = IPV6_HEADER_LEN + crate::tcp::TCP_HEADER_LEN;
+        bytes[tag_at] = 200;
+        assert_eq!(
+            Packet::decode(&bytes),
+            Err(NetError::UnknownPayloadTag(200))
+        );
+        bytes[tag_at] = 2;
+        bytes[5] -= 4; // the declared IPv6 payload length now cuts it short
+        assert_eq!(Packet::decode(&bytes), Err(truncated(13, 9)));
     }
 
     #[test]
@@ -514,5 +709,29 @@ mod tests {
         let text = pkt.to_string();
         assert!(text.contains("SYN"));
         assert!(text.contains("SRH"));
+    }
+
+    #[test]
+    fn display_names_the_payload_variant() {
+        let shown = |payload| {
+            PacketBuilder::tcp(a(1), a(2))
+                .payload(payload)
+                .build()
+                .to_string()
+        };
+        assert_eq!(shown(Payload::Empty), "- [fd00::1] -> [fd00::2]");
+        let request = Payload::Request {
+            id: 7,
+            service_ns: 25,
+        };
+        assert!(shown(request).ends_with("] req#7 25ns"));
+        let response = Payload::Response { id: 7, server: 3 };
+        assert!(shown(response).ends_with("] resp#7 from s3"));
+        let hint = Payload::LoadHint {
+            busy: 5,
+            workers: 32,
+            backlog: 1,
+        };
+        assert!(shown(hint).ends_with("] load 5/32+1"));
     }
 }

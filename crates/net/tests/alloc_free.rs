@@ -1,26 +1,38 @@
 //! Asserts that the per-packet hot path performs **zero heap allocations**:
 //! SRH decode, encode into a reused buffer, `Segments Left` manipulation,
-//! flow-key extraction/hashing, and whole-packet decode of payload-less
-//! packets (every SYN / SYN-ACK the load balancer handles).
+//! flow-key extraction/hashing, building the payload-carrying packets of
+//! every request (request, load-hint SYN-ACK, response) and whole-packet
+//! decode with or without a payload.
 //!
-//! The whole file is a single `#[test]` so the counting global allocator is
-//! never polluted by a concurrently running sibling test.
+//! The counting global allocator counts per thread, so a concurrently
+//! running sibling test (each runs on its own thread) never pollutes a
+//! measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use srlb_net::{AddressPlan, Packet, PacketBuilder, SegmentRoutingHeader, ServerId, TcpFlags};
+use srlb_net::{
+    AddressPlan, Packet, PacketBuilder, Payload, SegmentRoutingHeader, ServerId, TcpFlags,
+};
 
-/// Wraps the system allocator, counting every allocation.
+/// Wraps the system allocator, counting every allocation on the thread that
+/// performs it.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates directly to the system allocator; the counter has no
 // effect on allocation behaviour.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,9 +51,9 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Runs `f` and returns `(allocations performed, result)`.
 fn counting_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
+    (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
 #[test]
@@ -93,11 +105,12 @@ fn per_packet_hot_path_is_allocation_free() {
 
     // Packet encode into a reused buffer is covered by encode_into above for
     // the SRH; whole-packet encode returns a fresh Vec by design (one
-    // allocation), so just sanity-check it is exactly one.
+    // allocation).  Exactly one also proves the counter counts, so the
+    // zero assertions here are not vacuous.
     let (allocs, _) = counting_allocs(|| packet.encode());
-    assert!(
-        allocs <= 1,
-        "packet encode should allocate at most the output Vec, got {allocs}"
+    assert_eq!(
+        allocs, 1,
+        "packet encode should allocate exactly the output Vec"
     );
 
     // Flow-key extraction and hashing.
@@ -115,4 +128,50 @@ fn per_packet_hot_path_is_allocation_free() {
         hunted.current_destination()
     });
     assert_eq!(allocs, 0, "packet SR endpoint operations must not allocate");
+}
+
+#[test]
+fn payload_carrying_packets_are_allocation_free() {
+    let plan = AddressPlan::default();
+    let (client, vip) = (plan.client_addr(0), plan.vip(0));
+    let server = plan.server_addr(ServerId(3));
+    let packet = |source, destination, flags, payload| {
+        PacketBuilder::tcp(source, destination)
+            .ports(49_152, 80)
+            .flags(flags)
+            .payload(payload)
+    };
+
+    // The three payload-carrying packets of every request.
+    let (allocs, packets) = counting_allocs(|| {
+        let srh = SegmentRoutingHeader::from_route(&[server, plan.lb_addr(), client]).unwrap();
+        let request = Payload::Request {
+            id: 7,
+            service_ns: 25_000_000,
+        };
+        let hint = Payload::LoadHint {
+            busy: 5,
+            workers: 32,
+            backlog: 2,
+        };
+        let response = Payload::Response { id: 7, server: 3 };
+        [
+            packet(client, vip, TcpFlags::ACK | TcpFlags::PSH, request).build(),
+            packet(vip, client, TcpFlags::SYN_ACK, hint)
+                .segment_routing(srh)
+                .build(),
+            packet(vip, client, TcpFlags::ACK | TcpFlags::PSH, response).build(),
+        ]
+    });
+    assert_eq!(
+        allocs, 0,
+        "building request, SYN-ACK and response must not allocate"
+    );
+
+    for packet in packets {
+        let wire = packet.encode();
+        let (allocs, decoded) = counting_allocs(|| Packet::decode(&wire).unwrap());
+        assert_eq!(allocs, 0, "decoding {packet} must not allocate");
+        assert_eq!(decoded, packet);
+    }
 }

@@ -4,7 +4,8 @@ use std::net::Ipv6Addr;
 
 use proptest::prelude::*;
 use srlb_net::{
-    Ipv6Header, NextHeader, Packet, PacketBuilder, SegmentRoutingHeader, TcpFlags, TcpHeader,
+    Ipv6Header, NextHeader, Packet, PacketBuilder, Payload, SegmentRoutingHeader, TcpFlags,
+    TcpHeader,
 };
 
 fn arb_ipv6_addr() -> impl Strategy<Value = Ipv6Addr> {
@@ -38,6 +39,25 @@ fn arb_tcp_header() -> impl Strategy<Value = TcpHeader> {
                 urgent,
             },
         )
+}
+
+/// Every [`Payload`] variant, each with arbitrary fields.
+fn arb_payload() -> impl Strategy<Value = Payload> {
+    (0u8..4, any::<u64>(), any::<u64>(), any::<u32>()).prop_map(
+        |(variant, a, b, c)| match variant {
+            0 => Payload::Empty,
+            1 => Payload::Request {
+                id: a,
+                service_ns: b,
+            },
+            2 => Payload::Response { id: a, server: c },
+            _ => Payload::LoadHint {
+                busy: a as u32,
+                workers: b as u32,
+                backlog: c,
+            },
+        },
+    )
 }
 
 fn arb_ipv6_header() -> impl Strategy<Value = Ipv6Header> {
@@ -153,7 +173,7 @@ proptest! {
         dst in arb_ipv6_addr(),
         route in proptest::option::of(arb_route()),
         tcp in arb_tcp_header(),
-        payload in prop::collection::vec(any::<u8>(), 0..512),
+        payload in arb_payload(),
     ) {
         let mut builder = PacketBuilder::tcp(src, dst)
             .ports(tcp.source_port, tcp.destination_port)
@@ -165,7 +185,9 @@ proptest! {
             builder = builder.segment_routing(SegmentRoutingHeader::from_route(&route).unwrap());
         }
         let pkt = builder.build();
-        let decoded = Packet::decode(&pkt.encode()).unwrap();
+        let bytes = pkt.encode();
+        prop_assert_eq!(bytes.len(), pkt.encoded_len());
+        let decoded = Packet::decode(&bytes).unwrap();
         prop_assert_eq!(decoded, pkt);
     }
 

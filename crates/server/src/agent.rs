@@ -3,7 +3,7 @@
 //! In the paper the agent is a VPP plugin that reads Apache's scoreboard
 //! shared memory so the virtual router can consult application state without
 //! system calls or synchronisation.  Here the agent simply pairs a
-//! [`WorkerPool`] scoreboard reader with an [`AcceptPolicy`] and tracks
+//! [`WorkerPool`](crate::worker::WorkerPool) scoreboard reader with an [`AcceptPolicy`] and tracks
 //! acceptance statistics.
 
 use crate::policy::{AcceptDecision, AcceptPolicy};

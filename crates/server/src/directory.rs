@@ -45,20 +45,6 @@ pub struct Directory {
     tiers: HashMap<Ipv6Addr, TierMembers>,
 }
 
-impl PartialEq for Directory {
-    fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
-            && self.tiers.len() == other.tiers.len()
-            // srlb-lint: allow(unordered-iter) -- `.all()` over every entry is order-independent; no order-sensitive value escapes
-            && self.tiers.iter().all(|(addr, members)| {
-                other.tiers.get(addr).is_some_and(|o| {
-                    *members.read().expect("tier lock poisoned")
-                        == *o.read().expect("tier lock poisoned")
-                })
-            })
-    }
-}
-
 impl Directory {
     /// Creates an empty directory.
     pub fn new() -> Self {
@@ -99,20 +85,6 @@ impl Directory {
         }
     }
 
-    /// Removes the registration for `addr`, returning the node that hosted
-    /// it.
-    ///
-    /// The directory is **cloned** into every node at construction, so this
-    /// only affects the instance it is called on — use it while *composing*
-    /// a directory, before distribution.  To black-hole a live address
-    /// mid-run, remove the node from the network instead (packets to an
-    /// empty node slot are dropped and counted), which is what the scenario
-    /// engine does for server removal; to take a node out of a tier mid-run,
-    /// mutate the shared [`TierMembers`] handle instead.
-    pub fn unregister(&mut self, addr: Ipv6Addr) -> Option<NodeId> {
-        self.entries.remove(&addr)
-    }
-
     /// Number of registered addresses, unicast and tier alike (so
     /// `len() == 0` coincides with [`Directory::is_empty`]).
     pub fn len(&self) -> usize {
@@ -143,16 +115,6 @@ mod tests {
         assert_eq!(dir.lookup(addr(2)), Some(NodeId(11)));
         assert_eq!(dir.lookup(addr(3)), None);
         assert_eq!(dir.len(), 2);
-    }
-
-    #[test]
-    fn unregister_removes_the_entry() {
-        let mut dir = Directory::new();
-        dir.register(addr(1), NodeId(10));
-        assert_eq!(dir.unregister(addr(1)), Some(NodeId(10)));
-        assert_eq!(dir.unregister(addr(1)), None);
-        assert_eq!(dir.lookup(addr(1)), None);
-        assert!(dir.is_empty());
     }
 
     #[test]
@@ -193,7 +155,6 @@ mod tests {
         let members = tier_members(vec![NodeId(1), NodeId(2)]);
         dir.register_tier(addr(7), members.clone());
         let cloned = dir.clone();
-        assert_eq!(cloned, dir);
 
         // Withdraw NodeId(2) through the shared handle: both copies see it.
         assert!(members

@@ -10,9 +10,9 @@
 //! 2. on acceptance the server answers with a **SYN-ACK** carrying the
 //!    acceptance SRH `[server, load-balancer, client]` so the load balancer
 //!    learns the owner of the flow,
-//! 3. the client then sends the **request** (an ACK/PSH packet whose payload
-//!    encodes the request id and its CPU service demand), steered by the
-//!    load balancer to the owning server,
+//! 3. the client then sends the **request** (an ACK/PSH packet whose
+//!    [`Payload::Request`] carries the request id and its CPU service
+//!    demand), steered by the load balancer to the owning server,
 //! 4. the request claims an idle worker thread and its CPU demand is served
 //!    by the processor-sharing CPU (all busy threads contend for the
 //!    configured cores, as Apache's 32 prefork workers contend for the
@@ -26,10 +26,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv6Addr;
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use srlb_net::{FlowKey, Packet, PacketBuilder, PassthroughHashBuilder, TcpFlags};
+use srlb_net::{FlowKey, Packet, PacketBuilder, PassthroughHashBuilder, Payload, TcpFlags};
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 
 use crate::agent::ApplicationAgent;
@@ -193,84 +192,6 @@ struct RunningJob {
     request_id: u64,
 }
 
-/// Encodes a request's id and CPU service demand into a packet payload.
-///
-/// The experiment's client encodes the per-request CPU demand (drawn from the
-/// workload's service-time distribution) in the request payload; this stands
-/// in for the PHP script / wiki page the paper's clients request, whose cost
-/// the server only discovers by executing it.
-pub fn encode_request_payload(request_id: u64, service: SimDuration) -> Bytes {
-    let mut buf = Vec::with_capacity(16);
-    buf.extend_from_slice(&request_id.to_be_bytes());
-    buf.extend_from_slice(&service.as_nanos().to_be_bytes());
-    Bytes::from(buf)
-}
-
-/// Decodes a payload produced by [`encode_request_payload`].
-///
-/// Returns `None` if the payload is too short.
-pub fn decode_request_payload(payload: &[u8]) -> Option<(u64, SimDuration)> {
-    if payload.len() < 16 {
-        return None;
-    }
-    let id = u64::from_be_bytes(payload[0..8].try_into().ok()?);
-    let nanos = u64::from_be_bytes(payload[8..16].try_into().ok()?);
-    Some((id, SimDuration::from_nanos(nanos)))
-}
-
-/// Encodes a response payload: the request id plus the index of the server
-/// that served it, so the measurement client can attribute completions to
-/// servers (per-phase fairness in dynamic-cluster scenarios).
-pub fn encode_response_payload(request_id: u64, server_index: u32) -> Bytes {
-    let mut buf = Vec::with_capacity(12);
-    buf.extend_from_slice(&request_id.to_be_bytes());
-    buf.extend_from_slice(&server_index.to_be_bytes());
-    Bytes::from(buf)
-}
-
-/// Decodes a payload produced by [`encode_response_payload`].
-///
-/// Returns `None` if the payload is too short.
-pub fn decode_response_payload(payload: &[u8]) -> Option<(u64, u32)> {
-    if payload.len() < 12 {
-        return None;
-    }
-    let id = u64::from_be_bytes(payload[0..8].try_into().ok()?);
-    let server = u32::from_be_bytes(payload[8..12].try_into().ok()?);
-    Some((id, server))
-}
-
-/// Encodes the server-load hint a server attaches to its acceptance SYN-ACK
-/// (and ownership adverts): busy worker threads, configured worker threads
-/// and current backlog depth, each as a big-endian `u32`.
-///
-/// The load balancer's load-aware dispatcher smooths
-/// `(busy + backlog) / workers` into a per-server EWMA; load-oblivious
-/// dispatchers (the default) ignore the hint entirely, and the measurement
-/// client ignores payloads on SYN-ACKs, so attaching it is invisible to every
-/// existing configuration.
-pub fn encode_load_hint(busy: u32, workers: u32, backlog: u32) -> Bytes {
-    let mut buf = Vec::with_capacity(12);
-    buf.extend_from_slice(&busy.to_be_bytes());
-    buf.extend_from_slice(&workers.to_be_bytes());
-    buf.extend_from_slice(&backlog.to_be_bytes());
-    Bytes::from(buf)
-}
-
-/// Decodes a payload produced by [`encode_load_hint`], returning
-/// `(busy, workers, backlog)`.
-///
-/// Returns `None` if the payload is too short.
-pub fn decode_load_hint(payload: &[u8]) -> Option<(u32, u32, u32)> {
-    if payload.len() < 12 {
-        return None;
-    }
-    let busy = u32::from_be_bytes(payload[0..4].try_into().ok()?);
-    let workers = u32::from_be_bytes(payload[4..8].try_into().ok()?);
-    let backlog = u32::from_be_bytes(payload[8..12].try_into().ok()?);
-    Some((busy, workers, backlog))
-}
-
 /// One backend server of the simulated cluster.
 #[derive(Debug)]
 pub struct ServerNode {
@@ -407,12 +328,12 @@ impl ServerNode {
 
     /// The load hint describing this server's instantaneous state, attached
     /// to acceptance SYN-ACKs and ownership adverts.
-    fn load_hint(&self) -> Bytes {
-        encode_load_hint(
-            self.pool.busy_count() as u32,
-            self.config.workers as u32,
-            self.backlog.len() as u32,
-        )
+    fn load_hint(&self) -> Payload {
+        Payload::LoadHint {
+            busy: self.pool.busy_count() as u32,
+            workers: self.config.workers as u32,
+            backlog: self.backlog.len() as u32,
+        }
     }
 
     /// Bumps the timer generation and schedules a wake-up at the CPU's next
@@ -475,7 +396,11 @@ impl ServerNode {
     /// Handles an established-flow request packet: serve, queue or reset.
     fn handle_request(&mut self, packet: &Packet, ctx: &mut Context<'_, Packet>) {
         let flow = packet.flow_key_forward();
-        let Some((request_id, service)) = decode_request_payload(&packet.payload) else {
+        let Payload::Request {
+            id: request_id,
+            service_ns,
+        } = packet.payload
+        else {
             return; // bare ACK / FIN of the handshake: nothing to do
         };
         // A retransmitted request for an already-completed connection means
@@ -511,7 +436,7 @@ impl ServerNode {
         let job = PendingJob {
             flow,
             request_id,
-            service,
+            service: SimDuration::from_nanos(service_ns),
         };
         if self.pool.is_saturated() {
             match self.backlog.push(job) {
@@ -590,10 +515,10 @@ impl ServerNode {
         let response = PacketBuilder::tcp(flow.vip(), client)
             .ports(flow.vip_port(), flow.client_port())
             .flags(TcpFlags::PSH | TcpFlags::ACK)
-            .payload(encode_response_payload(
-                request_id,
-                self.config.server_index,
-            ))
+            .payload(Payload::Response {
+                id: request_id,
+                server: self.config.server_index,
+            })
             .build();
         self.send_to_addr(ctx, client, response);
     }
@@ -633,10 +558,10 @@ impl ServerNode {
                 // retransmissions: replay a matching request, but never
                 // advert ownership — the flow is dead, and a re-hunt must
                 // not re-install it in the load balancer's table.
-                if let Some((request_id, _)) = decode_request_payload(&packet.payload) {
-                    if done == request_id {
+                if let Payload::Request { id, .. } = packet.payload {
+                    if done == id {
                         self.stats.responses_replayed += 1;
-                        self.send_response(&flow, request_id, ctx);
+                        self.send_response(&flow, id, ctx);
                         return;
                     }
                 }
@@ -809,7 +734,10 @@ mod tests {
             self.received
                 .iter()
                 .filter(|(_, p)| p.tcp.flags.contains(TcpFlags::PSH))
-                .filter_map(|(at, p)| decode_response_payload(&p.payload).map(|(id, _)| (*at, id)))
+                .filter_map(|(at, p)| match p.payload {
+                    Payload::Response { id, .. } => Some((*at, id)),
+                    _ => None,
+                })
                 .collect()
         }
     }
@@ -827,10 +755,10 @@ mod tests {
         PacketBuilder::tcp(CLIENT, VIP)
             .ports(port, 80)
             .flags(TcpFlags::ACK | TcpFlags::PSH)
-            .payload(encode_request_payload(
-                request_id,
-                SimDuration::from_millis(SERVICE_MS),
-            ))
+            .payload(Payload::Request {
+                id: request_id,
+                service_ns: SimDuration::from_millis(SERVICE_MS).as_nanos(),
+            })
     }
 
     /// A request steered to the server by the load balancer's flow table.
@@ -1043,23 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn payload_roundtrip() {
-        let payload = encode_request_payload(42, SimDuration::from_millis(100));
-        assert_eq!(payload.len(), 16);
-        let (id, service) = decode_request_payload(&payload).unwrap();
-        assert_eq!(id, 42);
-        assert_eq!(service, SimDuration::from_millis(100));
-    }
-
-    #[test]
-    fn response_payload_roundtrip() {
-        let payload = encode_response_payload(42, 7);
-        assert_eq!(payload.len(), 12);
-        assert_eq!(decode_response_payload(&payload), Some((42, 7)));
-        assert_eq!(decode_response_payload(&payload[..8]), None);
-    }
-
-    #[test]
     fn stats_absorb_sums_fieldwise() {
         let mut a = ServerStats {
             completed: 3,
@@ -1077,21 +988,6 @@ mod tests {
         assert_eq!(a.resets, 1);
         assert_eq!(a.orphaned, 4);
         assert_eq!(a.ownership_adverts, 5);
-    }
-
-    #[test]
-    fn short_payload_is_rejected() {
-        assert_eq!(decode_request_payload(&[1, 2, 3]), None);
-        assert_eq!(decode_request_payload(&[]), None);
-    }
-
-    #[test]
-    fn load_hint_roundtrip() {
-        let payload = encode_load_hint(5, 32, 17);
-        assert_eq!(payload.len(), 12);
-        assert_eq!(decode_load_hint(&payload), Some((5, 32, 17)));
-        assert_eq!(decode_load_hint(&payload[..8]), None);
-        assert_eq!(decode_load_hint(&[]), None);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 
 use srlb::core::dispatch::RandomDispatcher;
 use srlb::core::LoadBalancerNode;
-use srlb::net::{AddressPlan, Packet, PacketBuilder, ServerId, TcpFlags};
-use srlb::server::server_node::encode_request_payload;
+use srlb::net::{AddressPlan, Packet, PacketBuilder, Payload, ServerId, TcpFlags};
 use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
 use srlb::sim::{Context, Node, NodeId, RunUntil, SimCore, SimDuration, Topology};
 
@@ -40,7 +39,10 @@ impl Node<Packet> for ScriptedClient {
             let request = PacketBuilder::tcp(self.plan.client_addr(0), self.plan.vip(0))
                 .ports(50_000, 80)
                 .flags(TcpFlags::ACK | TcpFlags::PSH)
-                .payload(encode_request_payload(1, SimDuration::from_millis(80)))
+                .payload(Payload::Request {
+                    id: 1,
+                    service_ns: SimDuration::from_millis(80).as_nanos(),
+                })
                 .build();
             ctx.send(self.lb, request);
         } else if packet.tcp.flags.contains(TcpFlags::PSH) {

@@ -14,8 +14,7 @@
 
 use srlb::core::dispatch::RandomDispatcher;
 use srlb::core::{FlowState, LoadBalancerNode};
-use srlb::net::{AddressPlan, Packet, PacketBuilder, ServerId, TcpFlags};
-use srlb::server::server_node::encode_request_payload;
+use srlb::net::{AddressPlan, Packet, PacketBuilder, Payload, ServerId, TcpFlags};
 use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
 use srlb::sim::{
     Context, Node, NodeId, RunUntil, SimCore, SimDuration, SimTime, TimerToken, Topology,
@@ -76,10 +75,10 @@ impl StaleReplayClient {
         PacketBuilder::tcp(plan.client_addr(0), plan.vip(0))
             .ports(55_000, 80)
             .flags(TcpFlags::ACK | TcpFlags::PSH)
-            .payload(encode_request_payload(
-                payload_id,
-                SimDuration::from_millis(10),
-            ))
+            .payload(Payload::Request {
+                id: payload_id,
+                service_ns: SimDuration::from_millis(10).as_nanos(),
+            })
             .build()
     }
 }

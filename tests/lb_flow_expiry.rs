@@ -6,8 +6,7 @@
 
 use srlb::core::dispatch::RandomDispatcher;
 use srlb::core::{FlowState, LoadBalancerNode};
-use srlb::net::{AddressPlan, Packet, PacketBuilder, ServerId, TcpFlags};
-use srlb::server::server_node::encode_request_payload;
+use srlb::net::{AddressPlan, Packet, PacketBuilder, Payload, ServerId, TcpFlags};
 use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
 use srlb::sim::{Context, Node, NodeId, RunUntil, SimCore, SimDuration, SimTime, Topology};
 
@@ -34,7 +33,10 @@ impl Node<Packet> for OneShotClient {
             let request = PacketBuilder::tcp(plan.client_addr(0), plan.vip(0))
                 .ports(55_000, 80)
                 .flags(TcpFlags::ACK | TcpFlags::PSH)
-                .payload(encode_request_payload(1, SimDuration::from_millis(10)))
+                .payload(Payload::Request {
+                    id: 1,
+                    service_ns: SimDuration::from_millis(10).as_nanos(),
+                })
                 .build();
             ctx.send(self.lb, request);
         } else if packet.tcp.flags.contains(TcpFlags::PSH) {

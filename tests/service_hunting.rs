@@ -8,8 +8,7 @@
 
 use srlb::core::dispatch::RandomDispatcher;
 use srlb::core::LoadBalancerNode;
-use srlb::net::{AddressPlan, Packet, PacketBuilder, ServerId, TcpFlags};
-use srlb::server::server_node::encode_request_payload;
+use srlb::net::{AddressPlan, Packet, PacketBuilder, Payload, ServerId, TcpFlags};
 use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
 use srlb::sim::{Context, Node, NodeId, RunUntil, SimCore, SimDuration, Topology};
 
@@ -45,7 +44,10 @@ impl Node<Packet> for ScriptedClient {
             let request = PacketBuilder::tcp(plan.client_addr(0), plan.vip(0))
                 .ports(50_000, 80)
                 .flags(TcpFlags::ACK | TcpFlags::PSH)
-                .payload(encode_request_payload(7, SimDuration::from_millis(25)))
+                .payload(Payload::Request {
+                    id: 7,
+                    service_ns: SimDuration::from_millis(25).as_nanos(),
+                })
                 .build();
             ctx.send(self.lb.expect("lb id set"), request);
         } else if packet.is_rst() {
